@@ -17,6 +17,7 @@ import numpy as np
 from .basis import MultiFunctionalDesign
 from .errors import NumericalError
 from .regression import fit_fpc, fit_fpls, fit_rfpls, predict_from_design
+from .robust_pls import initial_weights
 
 _FITTERS = {"fpls": fit_fpls, "rfpls": fit_rfpls, "fpc": fit_fpc}
 
@@ -133,7 +134,9 @@ def select_num_components(design: MultiFunctionalDesign, y: np.ndarray,
     score sums kept squared errors across folds and divides by the kept
     count; the smallest score wins, ties going to the smaller ``h``.
     Folds whose training part cannot support ``h`` components, or where
-    the fit breaks down, are skipped and recorded.
+    the fit breaks down, are skipped and recorded.  For ``'rfpls'`` the
+    PRM start weights depend on the fold only, so each fold computes them
+    once, at its first fitted cell, and shares them across ``h``.
     """
     if method not in _FITTERS:
         raise ValueError(f"method must be one of {sorted(_FITTERS)}, got {method!r}")
@@ -150,29 +153,37 @@ def select_num_components(design: MultiFunctionalDesign, y: np.ndarray,
     parts = np.array_split(rng.permutation(n), folds)
 
     grid = tuple(range(1, max_components + 1))
-    scores = np.full(len(grid), np.inf)
+    totals = np.zeros(len(grid))
+    counts = np.zeros(len(grid), dtype=int)
     skipped: list[tuple[int, int]] = []
-    for gi, h in enumerate(grid):
-        total = 0.0
-        count = 0
-        for fold, test_idx in enumerate(parts):
-            train_idx = np.concatenate([p for j, p in enumerate(parts) if j != fold])
+    for fold, test_idx in enumerate(parts):
+        train_idx = np.concatenate([p for j, p in enumerate(parts) if j != fold])
+        sub = design.take(train_idx)
+        y_train = y[train_idx]
+        start = None
+        for gi, h in enumerate(grid):
             if train_idx.size <= h + 1:
                 skipped.append((h, fold))
                 continue
-            sub = design.take(train_idx)
             try:
-                fit = fitter(sub, y[train_idx], h)
+                if method == "rfpls":
+                    if start is None:
+                        start = initial_weights(sub.A, y_train)
+                    fit = fit_rfpls(sub, y_train, h, start_weights=start)
+                else:
+                    fit = fitter(sub, y_train, h)
             except NumericalError:
                 skipped.append((h, fold))
                 continue
             pred = predict_from_design(fit, design.D[test_idx])
             sq = (y[test_idx] - pred) ** 2
             kept = _kept(sq, alpha)
-            total += float(sq[kept].sum())
-            count += kept.size
-        if count > 0:
-            scores[gi] = total / count
+            totals[gi] += float(sq[kept].sum())
+            counts[gi] += kept.size
+    skipped.sort()
+    scores = np.full(len(grid), np.inf)
+    scored = counts > 0
+    scores[scored] = totals[scored] / counts[scored]
     if not np.isfinite(scores).any():
         raise NumericalError("cross-validation failed in every fold for every "
                              "candidate component count")

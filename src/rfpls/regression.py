@@ -99,16 +99,19 @@ def fit_fpls(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr
 
 def fit_rfpls(design: MultiFunctionalDesign, y: np.ndarray, h: int,
               tol: float = 1e-2, max_iter: int = 100, c: float | None = None,
-              weight_fn=None, m_weight_fn=None) -> FittedSofr:
+              weight_fn=None, m_weight_fn=None,
+              start_weights: np.ndarray | None = None) -> FittedSofr:
     """Robust functional partial least squares with ``h`` components.
 
     Reweighted SIMPLS extracts outlier-resistant scores; the response is
     then M-regressed on those scores with a bisquare whose cutoff ``c``
     is tuned on the score residuals unless given.  ``weight_fn`` and
-    ``m_weight_fn`` are testing hooks for the two weighting stages.
+    ``m_weight_fn`` are testing hooks for the two weighting stages;
+    ``start_weights`` are passed to ``prm_fit``.
     """
     y = np.asarray(y, dtype=float).ravel()
-    rfit = prm_fit(design.A, y, h, tol=tol, max_iter=max_iter, weight_fn=weight_fn)
+    rfit = prm_fit(design.A, y, h, tol=tol, max_iter=max_iter, weight_fn=weight_fn,
+                   start_weights=start_weights)
     cutoff = float(c) if c is not None else select_tuning(rfit.scores_r, y)
     mest = m_estimate(rfit.scores_r, y, cutoff, weight_fn=m_weight_fn)
     theta = rfit.W_r @ mest.delta
@@ -136,6 +139,8 @@ def fit_fpc(design: MultiFunctionalDesign, y: np.ndarray,
     n = A.shape[0]
     if y.size != n:
         raise ValueError(f"design has {n} rows but y has {y.size}")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
     x_center = A.mean(axis=0)

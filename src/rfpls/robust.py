@@ -52,15 +52,19 @@ def tukey_rho(u, c: float):
     return _maybe_scalar(1.0 - (1.0 - z * z) ** 3, scalar)
 
 
-def tukey_kappa(u, c: float):
-    """Bisquare sub-gradient (up to 6/c^2): u [1 - (u/c)^2]^2 for |u| <= c, else 0."""
-    if c <= 0:
+def tukey_kappa(u, c):
+    """Bisquare sub-gradient (up to 6/c^2): u [1 - (u/c)^2]^2 for |u| <= c, else 0.
+
+    ``c`` may be an array of cutoffs broadcastable against ``u``.
+    """
+    cut = np.asarray(c, dtype=float)
+    if (cut <= 0).any():
         raise ValueError(f"c must be positive, got {c}")
     arr, scalar = _as_array(u)
-    z = arr / c
-    inside = np.abs(arr) <= c
+    z = arr / cut
+    inside = np.abs(arr) <= cut
     out = np.where(inside, arr * (1.0 - z * z) ** 2, 0.0)
-    return _maybe_scalar(out, scalar)
+    return _maybe_scalar(out, scalar and cut.ndim == 0)
 
 
 def bisquare_weight(e, c: float):
@@ -240,6 +244,25 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-8,
                      converged=converged, weights=weights)
 
 
+def _efficiency_factors(e: np.ndarray, cands: np.ndarray,
+                        step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Efficiency factor of every cutoff in ``cands`` and whether it is defined.
+
+    Scores all cutoffs in one ``(k, n)`` broadcast; a cutoff rejecting
+    every residual has a zero denominator and is marked undefined.
+    """
+    cuts = cands[:, None]
+    kap = tukey_kappa(e, cuts)
+    # Row-wise dot products through matmul, which sums in the same order
+    # as ``kap[i] @ kap[i]``.
+    denom = e.size * (kap[:, None, :] @ kap[:, :, None])[:, 0, 0]
+    slopes = (tukey_kappa(e + step, cuts) - tukey_kappa(e - step, cuts)) / (2.0 * step)
+    defined = denom != 0.0
+    tau = np.full(cands.size, -np.inf)
+    tau[defined] = slopes[defined].sum(axis=1) ** 2 / denom[defined]
+    return tau, defined
+
+
 def efficiency_factor(e: np.ndarray, c: float, step: float = 1e-4) -> float:
     """Empirical efficiency of the bisquare at cutoff ``c``.
 
@@ -255,13 +278,11 @@ def efficiency_factor(e: np.ndarray, c: float, step: float = 1e-4) -> float:
         raise ValueError(f"step must be positive, got {step}")
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
-    kap = tukey_kappa(arr, c)
-    denom = arr.size * float(kap @ kap)
-    if denom == 0.0:
+    tau, defined = _efficiency_factors(arr, np.array([float(c)]), step)
+    if not defined[0]:
         raise EfficiencyUndefinedError(f"all residuals fall beyond c = {c}; "
                                        "efficiency factor undefined")
-    slopes = (tukey_kappa(arr + step, c) - tukey_kappa(arr - step, c)) / (2.0 * step)
-    return float(slopes.sum() ** 2 / denom)
+    return float(tau[0])
 
 
 def select_tuning(scores: np.ndarray, y: np.ndarray,
@@ -270,8 +291,9 @@ def select_tuning(scores: np.ndarray, y: np.ndarray,
 
     Residuals come from a least-squares fit of ``y`` on the scores (with
     intercept) and are standardized by their MAD; candidate cutoffs
-    default to the grid 1.0, 1.1, ..., 10.0.  Ties go to the largest
-    cutoff.
+    default to the grid 1.0, 1.1, ..., 10.0.  Candidates rejecting every
+    residual are skipped.  Ties go to the later candidate, which on an
+    increasing grid is the largest cutoff.
     """
     Z = np.atleast_2d(np.asarray(scores, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -289,16 +311,8 @@ def select_tuning(scores: np.ndarray, y: np.ndarray,
     scale = mad_scale(resid)
     if scale == 0.0:
         raise DegenerateScaleError("residual MAD is zero; cutoff selection undefined")
-    e = resid / scale
-    best_c = None
-    best_tau = -np.inf
-    for c in cands:
-        try:
-            tau = efficiency_factor(e, float(c))
-        except EfficiencyUndefinedError:
-            continue
-        if tau >= best_tau:
-            best_tau, best_c = tau, float(c)
-    if best_c is None:
+    tau, defined = _efficiency_factors(resid / scale, cands, 1e-4)
+    if not defined.any():
         raise EfficiencyUndefinedError("every candidate cutoff rejects all residuals")
-    return best_c
+    best = np.flatnonzero(defined & (tau == tau[defined].max()))[-1]
+    return float(cands[best])

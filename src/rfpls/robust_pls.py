@@ -84,7 +84,7 @@ def initial_weights(X: np.ndarray, y: np.ndarray,
 
 def prm_fit(X: np.ndarray, y: np.ndarray, h: int, tol: float = 1e-2,
             max_iter: int = 100, consts: HampelConstants = DEFAULT_HAMPEL,
-            weight_fn=None) -> RobustPLSFit:
+            weight_fn=None, start_weights: np.ndarray | None = None) -> RobustPLSFit:
     """Robust SIMPLS of ``y`` on rows of ``X`` by iterative reweighting.
 
     Parameters
@@ -105,6 +105,11 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, tol: float = 1e-2,
         Replacement for the Hampel factor, called on nonnegative
         standardized distances.  ``lambda v: np.ones_like(v)`` turns the
         procedure into classical SIMPLS.
+    start_weights : ndarray of shape (n,), optional
+        Case weights of the first pass, as returned by
+        ``initial_weights(X, y, consts, weight_fn)``; computed when
+        absent.  Fits that share ``X`` and ``y`` but not ``h`` can share
+        them.
 
     Notes
     -----
@@ -123,7 +128,12 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, tol: float = 1e-2,
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     wfn = weight_fn if weight_fn is not None else (lambda v: hampel_weight(v, consts))
 
-    weights = initial_weights(X, y, consts, weight_fn)
+    if start_weights is None:
+        weights = initial_weights(X, y, consts, weight_fn)
+    else:
+        weights = np.asarray(start_weights, dtype=float).ravel()
+        if weights.size != n:
+            raise ValueError(f"X has {n} rows but start_weights has {weights.size}")
     gamma_prev: np.ndarray | None = None
     fit = None
     converged = False

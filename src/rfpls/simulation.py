@@ -19,6 +19,7 @@ multi-process run is byte-identical to a serial one.
 from __future__ import annotations
 
 import csv
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
@@ -258,6 +259,37 @@ def _run_replication(config: ExperimentConfig,
     return rows, failures
 
 
+def _openblas_libraries() -> list[ctypes.CDLL]:
+    """Every OpenBLAS shared library mapped into this process."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle
+                            if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return []
+    return [ctypes.CDLL(path) for path in paths]
+
+
+_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: run every loaded OpenBLAS on one thread.
+
+    Each worker already runs one replication per core, so BLAS threads
+    of their own would only contend with the other workers.
+    """
+    for lib in _openblas_libraries():
+        for symbol in _SET_THREADS:
+            if hasattr(lib, symbol):
+                set_threads = getattr(lib, symbol)
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                set_threads(1)
+                break
+
+
 def _replication_star(args) -> tuple[list[ResultRow], list[FailureRow]]:
     return _run_replication(*args)
 
@@ -313,9 +345,10 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every replication and collect rows in replication order.
 
-    With ``workers > 1`` replications run in a process pool; results are
-    gathered in submission order, so the row stream (and any CSV written
-    from it) is identical for every pool size.
+    With ``workers > 1`` replications run in a process pool whose
+    workers each use one BLAS thread; results are gathered in submission
+    order, so the row stream (and any CSV written from it) is identical
+    for every pool size.
     """
     result = ExperimentResult(config=config)
     reps = range(config.replications)
@@ -325,7 +358,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             result.rows.extend(rows)
             result.failures.extend(failures)
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers,
+                                 initializer=_one_blas_thread) as pool:
             for rows, failures in pool.map(_replication_star,
                                            [(config, rep) for rep in reps]):
                 result.rows.extend(rows)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from rfpls import evaluation
 from rfpls.basis import build_bspline_system, build_design, evaluate_basis
 from rfpls.errors import NumericalError
 from rfpls.evaluation import (iqr_outliers, risee, select_num_components,
                               trimmed_mspe, trimmed_r2)
-from rfpls.regression import fit_fpls, predict_from_design
+from rfpls.regression import fit_fpls, fit_rfpls, predict_from_design
 
 
 class TestTrimmedMspe:
@@ -180,6 +181,51 @@ class TestSelectNumComponents:
         assert np.isinf(report.scores[4:]).all()
         assert set(report.skipped) == {(h, f) for h in (5, 6) for f in range(4)}
         assert report.chosen_h <= 4
+
+    def test_rfpls_shares_start_weights_within_a_fold(self, monkeypatch):
+        """PRM start weights are computed once per fold, and the report
+        equals one built from independent fit_rfpls calls per (h, fold)
+        cell.  The grid runs past what 9 training rows support, so cells
+        are skipped both by the size guard and by numerical breakdown."""
+        design, rng = _spline_design(45, n=12, num_basis=6)
+        y = design.A @ rng.normal(size=6) + rng.standard_t(2, size=12)
+        folds, alpha, seed, hmax = 4, 0.1, 45, 9
+        calls = []
+
+        def counting(X, y_train):
+            calls.append(X.shape[0])
+            return real(X, y_train)
+
+        real = evaluation.initial_weights
+        monkeypatch.setattr(evaluation, "initial_weights", counting)
+        report = select_num_components(design, y, max_components=hmax, folds=folds,
+                                       alpha=alpha, method="rfpls", seed=seed)
+        assert calls == [9] * folds
+
+        parts = np.array_split(np.random.default_rng(seed).permutation(12), folds)
+        expected, skipped = [], []
+        for h in range(1, hmax + 1):
+            total, count = 0.0, 0
+            for fold, test_idx in enumerate(parts):
+                train = np.concatenate([p for j, p in enumerate(parts) if j != fold])
+                if train.size <= h + 1:
+                    skipped.append((h, fold))
+                    continue
+                try:
+                    fit = fit_rfpls(design.take(train), y[train], h)
+                except NumericalError:
+                    skipped.append((h, fold))
+                    continue
+                sq = (y[test_idx] - predict_from_design(fit, design.D[test_idx])) ** 2
+                kept = np.argsort(sq, kind="stable")[:sq.size - math.ceil(alpha * sq.size)]
+                total += float(sq[kept].sum())
+                count += kept.size
+            expected.append(total / count if count else np.inf)
+        np.testing.assert_array_equal(report.scores, expected)
+        assert report.chosen_h == report.grid[int(np.argmin(expected))]
+        assert report.skipped == tuple(skipped)
+        assert {(8, f) for f in range(folds)} <= set(skipped)
+        assert any(h < 8 for h, _ in skipped)
 
     def test_works_for_all_methods(self):
         design, rng = _spline_design(23, n=50, num_basis=6)

@@ -8,6 +8,7 @@ from rfpls.basis import build_bspline_system, build_design, evaluate_basis
 from rfpls.evaluation import risee
 from rfpls.regression import (coefficient_functions, fit_fpc, fit_fpls,
                               fit_rfpls, predict, predict_from_design)
+from rfpls.simulation import generate_clean
 
 
 def _unit(v):
@@ -167,3 +168,17 @@ class TestPredictionPaths:
             predict(fit, curves[:1], grids)
         with pytest.raises(ValueError, match="disagree"):
             predict(fit, [curves[0], curves[1][:-1]], grids)
+
+
+@pytest.mark.parametrize("fitter", [fit_fpls, fit_rfpls, fit_fpc])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_response_rejected(fitter, bad):
+    """Every fitter refuses a non-finite response instead of returning
+    NaN coefficients."""
+    data = generate_clean(60, 3)
+    systems = [build_bspline_system((0.0, 1.0), 8) for _ in data.curves]
+    design = build_design(data.curves, data.grids, systems)
+    y = data.y.copy()
+    y[4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fitter(design, y, 2)

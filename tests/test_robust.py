@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfpls.errors import (BreakdownError, DegenerateScaleError,
                           EfficiencyUndefinedError)
@@ -297,3 +299,86 @@ class TestSelectTuning:
         Z = np.linspace(0.0, 1.0, 30)[:, None]
         with pytest.raises(DegenerateScaleError):
             select_tuning(Z, np.zeros(30))
+
+
+def _scalar_efficiency(e, c, step=1e-4):
+    """The efficiency factor at one cutoff, from scalar-cutoff kappa calls."""
+    kap = tukey_kappa(e, c)
+    denom = e.size * float(kap @ kap)
+    if denom == 0.0:
+        return None
+    slopes = (tukey_kappa(e + step, c) - tukey_kappa(e - step, c)) / (2.0 * step)
+    return float(slopes.sum() ** 2 / denom)
+
+
+def _standardized_residuals(Z, y):
+    design = np.column_stack([np.ones(Z.shape[0]), Z])
+    theta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ theta
+    return resid / mad_scale(resid)
+
+
+def _reference_select_tuning(Z, y, grid):
+    """Cutoff selection as a loop of one efficiency_factor call per candidate."""
+    e = _standardized_residuals(Z, y)
+    best_c, best_tau = None, -np.inf
+    for c in grid:
+        try:
+            tau = efficiency_factor(e, float(c))
+        except EfficiencyUndefinedError:
+            continue
+        if tau >= best_tau:
+            best_tau, best_c = tau, float(c)
+    return best_c
+
+
+@st.composite
+def _tuning_problems(draw):
+    """Scores, a heavy-tailed response and a grid with repeats and with
+    cutoffs below every nonzero standardized residual."""
+    n = draw(st.integers(5, 60))
+    h = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Z = rng.normal(size=(n, h))
+    y = Z @ rng.normal(size=h) + rng.standard_t(draw(st.sampled_from([1.0, 3.0, 30.0])),
+                                                size=n)
+    e = np.abs(_standardized_residuals(Z, y))
+    smallest = float(e[e > 0].min())
+    plain = draw(st.lists(st.sampled_from(list(np.linspace(1.0, 10.0, 91))
+                                          + [0.3, 0.7, 25.0]), max_size=12))
+    rejecting = [smallest * f for f in draw(st.lists(st.floats(0.05, 0.95), max_size=4))]
+    grid = plain + rejecting
+    grid += draw(st.lists(st.sampled_from(grid), max_size=4)) if grid else [smallest / 2]
+    return Z, y, np.array(draw(st.permutations(grid)))
+
+
+class TestVectorizedTuning:
+    @settings(max_examples=200, deadline=None)
+    @given(_tuning_problems())
+    def test_matches_scalar_loop(self, problem):
+        """The one-broadcast selection picks the same cutoff as the
+        candidate-by-candidate loop, ties and rejecting cutoffs included."""
+        Z, y, grid = problem
+        want = _reference_select_tuning(Z, y, grid)
+        if want is None:
+            with pytest.raises(EfficiencyUndefinedError):
+                select_tuning(Z, y, grid=grid)
+        else:
+            assert select_tuning(Z, y, grid=grid) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tuning_problems())
+    def test_efficiency_equals_scalar_formula(self, problem):
+        """efficiency_factor and array cutoffs in tukey_kappa reproduce the
+        scalar-cutoff arithmetic bit for bit."""
+        Z, y, grid = problem
+        e = _standardized_residuals(Z, y)
+        np.testing.assert_array_equal(tukey_kappa(e, grid[:, None]),
+                                      np.array([tukey_kappa(e, c) for c in grid]))
+        for c in grid:
+            want = _scalar_efficiency(e, float(c))
+            if want is None:
+                with pytest.raises(EfficiencyUndefinedError):
+                    efficiency_factor(e, float(c))
+            else:
+                assert efficiency_factor(e, float(c)) == want

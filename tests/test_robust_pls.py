@@ -133,6 +133,22 @@ class TestPrmFit:
             prm_fit(X, y, 1,
                     weight_fn=lambda v: (np.arange(v.size) == 0).astype(float))
 
+    def test_given_start_weights_replace_initial_weights(self):
+        """Passing initial_weights' result reproduces the default fit bit
+        for bit; a start vector of the wrong length is refused."""
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(40, 5))
+        y = X @ rng.normal(size=5) + rng.standard_t(2, size=40)
+        start = initial_weights(X, y)
+        for h in (1, 2, 3):
+            want = prm_fit(X, y, h)
+            got = prm_fit(X, y, h, start_weights=start)
+            np.testing.assert_array_equal(got.W_r, want.W_r)
+            np.testing.assert_array_equal(got.weights, want.weights)
+            assert got.iterations == want.iterations
+        with pytest.raises(ValueError, match="start_weights"):
+            prm_fit(X, y, 2, start_weights=start[:-1])
+
     def test_validation(self):
         X = np.random.default_rng(15).normal(size=(10, 3))
         y = np.arange(10.0)

@@ -1,13 +1,16 @@
 """Harmonic data generator, contamination mechanism, and experiment loop."""
 
 import csv
+import ctypes
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import sympy
 from scipy.integrate import simpson
 
+from rfpls import simulation
 from rfpls.errors import ConfigError
 from rfpls.simulation import (CONTAMINATION_NOISE_STD, ExperimentConfig,
                               ExperimentResult, ResultRow, coefficient_integrals,
@@ -184,6 +187,24 @@ _SMALL = dict(methods=("fpls", "rfpls"), contamination_levels=(0.0, 0.1),
               max_components=2, cv_folds=3, trim_alpha=0.1, seed=5)
 
 
+_GET_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads")
+
+
+def _blas_thread_counts() -> dict:
+    """Thread count of every OpenBLAS loaded in the calling process, by path."""
+    counts = {}
+    for lib in simulation._openblas_libraries():
+        for symbol in _GET_THREADS:
+            if hasattr(lib, symbol):
+                get_threads = getattr(lib, symbol)
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+                counts[lib._name] = get_threads()
+                break
+    return counts
+
+
 class TestRunExperiment:
     def test_row_layout(self):
         """Six metric rows per replication, level, and method."""
@@ -210,6 +231,24 @@ class TestRunExperiment:
         pooled = run_experiment(ExperimentConfig(**{**_SMALL, "workers": 2}))
         assert serial.rows == pooled.rows
         assert serial.failures == pooled.failures
+
+    def test_pool_workers_use_one_blas_thread(self, monkeypatch):
+        """A worker of the experiment's pool runs every OpenBLAS on one
+        thread, and the parent process keeps its own thread counts."""
+        before = _blas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS library is loaded")
+        in_worker = []
+
+        class ProbedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                in_worker.append(self.submit(_blas_thread_counts).result(timeout=120))
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", ProbedPool)
+        run_experiment(ExperimentConfig(**{**_SMALL, "workers": 2}))
+        assert in_worker == [dict.fromkeys(before, 1)]
+        assert _blas_thread_counts() == before
 
     def test_csv_round_trip_and_determinism(self, tmp_path):
         res = run_experiment(ExperimentConfig(**_SMALL))
