@@ -188,6 +188,27 @@ def smooth_curves(values: np.ndarray, grid: np.ndarray,
     return coefs.T
 
 
+def _block_slices(systems: Sequence[BasisSystem]) -> list[slice]:
+    """Column range of each basis inside the stacked coefficient rows."""
+    offsets = np.cumsum([0] + [s.num_basis for s in systems])
+    return [slice(int(lo), int(hi)) for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def _smooth_stack(curves: Sequence[np.ndarray], grids: Sequence[np.ndarray],
+                  systems: Sequence[BasisSystem]) -> np.ndarray:
+    """Smooth each predictor in its basis and stack the coefficient rows."""
+    if not systems or not len(curves) == len(grids) == len(systems):
+        raise ValueError(f"need one curve block and one grid per predictor, and at least "
+                         f"one predictor; got {len(curves)} curve blocks and "
+                         f"{len(grids)} grids for {len(systems)} predictors")
+    blocks = [smooth_curves(vals, grid, system)
+              for vals, grid, system in zip(curves, grids, systems)]
+    ns = [b.shape[0] for b in blocks]
+    if len(set(ns)) > 1:
+        raise ValueError(f"predictors disagree on the number of curves: {ns}")
+    return np.hstack(blocks)
+
+
 @dataclass(frozen=True)
 class MultiFunctionalDesign:
     """Basis representation of several functional predictors for one sample.
@@ -224,9 +245,7 @@ class MultiFunctionalDesign:
 
     def block_slices(self) -> list[slice]:
         """Column ranges of each predictor inside ``D`` / ``A``."""
-        sizes = [s.num_basis for s in self.systems]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        return [slice(int(lo), int(hi)) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        return _block_slices(self.systems)
 
     def take(self, rows: np.ndarray) -> "MultiFunctionalDesign":
         """Row subset sharing the basis geometry."""
@@ -247,16 +266,7 @@ def build_design(curves: Sequence[np.ndarray], grids: Sequence[np.ndarray],
     systems : sequence of BasisSystem
         One basis per predictor.
     """
-    if not (len(curves) == len(grids) == len(systems)) or len(curves) == 0:
-        raise ValueError("curves, grids and systems must have equal nonzero length")
-    blocks = []
-    for m, (vals, grid, system) in enumerate(zip(curves, grids, systems)):
-        coefs = smooth_curves(vals, grid, system)
-        if blocks and coefs.shape[0] != blocks[0].shape[0]:
-            raise ValueError(f"predictor {m + 1} has {coefs.shape[0]} curves but "
-                             f"predictor 1 has {blocks[0].shape[0]}")
-        blocks.append(coefs)
-    D = np.hstack(blocks)
+    D = _smooth_stack(curves, grids, systems)
     grams = [gram_matrix(s) for s in systems]
     Psi = block_diag(*grams)
     Psi_half = block_diag(*[sqrt_gram(g) for g in grams])

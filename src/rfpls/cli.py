@@ -13,7 +13,7 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -22,25 +22,22 @@ from .errors import ConfigError, InputError, NumericalError
 from .evaluation import select_num_components
 from .fileio import (load_model, read_curves, read_response, save_model,
                      write_predictions)
-from .regression import fit_fpc, fit_fpls, fit_rfpls, predict
+from .regression import _FITTERS, predict
 from .simulation import ExperimentConfig, run_experiment
 
-_FITTERS = {"fpls": fit_fpls, "rfpls": fit_rfpls, "fpc": fit_fpc}
 
-_CONFIG_PARSERS = {
-    "methods": lambda s: tuple(part.strip() for part in s.split(",") if part.strip()),
-    "contamination_levels": lambda s: tuple(float(part) for part in s.split(",")
-                                            if part.strip()),
-    "replications": int,
-    "n_train": int,
-    "n_test": int,
-    "num_basis": int,
-    "max_components": int,
-    "cv_folds": int,
-    "trim_alpha": float,
-    "seed": int,
-    "workers": int,
-}
+def _config_parser(default):
+    """Parser of an INI value into the type of an ``ExperimentConfig`` default.
+
+    Tuple fields are comma-separated lists of their first item's type.
+    """
+    if isinstance(default, tuple):
+        item = type(default[0])
+        return lambda s: tuple(item(part.strip()) for part in s.split(",") if part.strip())
+    return type(default)
+
+
+_CONFIG_PARSERS = {f.name: _config_parser(f.default) for f in fields(ExperimentConfig)}
 
 
 def _load_tables(curves_arg: str):
@@ -104,7 +101,14 @@ def cmd_fit(args) -> int:
     if fit.robust_report is not None:
         rep = fit.robust_report
         print(f"robust: c={rep.c:.3g} reweighting_iterations={rep.prm_iterations} "
-              f"converged={rep.prm_converged} scale={rep.scale:.6g}")
+              f"converged={rep.prm_converged} m_iterations={rep.m_iterations} "
+              f"m_converged={rep.m_converged} scale={rep.scale:.6g}")
+        for stage, iterations, converged in (
+                ("reweighting", rep.prm_iterations, rep.prm_converged),
+                ("M-step", rep.m_iterations, rep.m_converged)):
+            if not converged:
+                print(f"rfpls: warning: {stage} stopped at its iteration cap "
+                      f"({iterations}) without converging", file=sys.stderr)
         flagged = [ids[i] for i in np.flatnonzero(rep.weights < 0.5)]
         print(f"downweighted samples (weight < 0.5): {len(flagged)}"
               + (" [" + " ".join(flagged) + "]" if flagged else ""))
@@ -175,8 +179,6 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     config = load_experiment_config(args.config)
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         config = replace(config, workers=args.workers)
     result = run_experiment(config)
     result.write_csv(args.out)
@@ -203,18 +205,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "partial least squares.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit a model from curve and response tables")
-    fit.add_argument("--method", required=True, choices=sorted(_FITTERS))
-    fit.add_argument("--curves", required=True,
-                     help="comma-separated curve CSV files, one per predictor")
-    fit.add_argument("--response", required=True, help="response CSV file (id,y)")
-    fit.add_argument("--num-basis", type=int, default=20)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--method", required=True, choices=sorted(_FITTERS))
+    shared.add_argument("--curves", required=True,
+                        help="comma-separated curve CSV files, one per predictor")
+    shared.add_argument("--response", required=True, help="response CSV file (id,y)")
+    shared.add_argument("--num-basis", type=int, default=20)
+    shared.add_argument("--max-components", type=int, default=5)
+    shared.add_argument("--trim-alpha", type=float, default=0.1)
+    shared.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
+
+    fit = sub.add_parser("fit", parents=[shared],
+                         help="fit a model from curve and response tables")
     fit.add_argument("--components", type=int, default=None,
                      help="fixed component count (skips cross-validation)")
-    fit.add_argument("--max-components", type=int, default=5)
     fit.add_argument("--cv-folds", type=int, default=5)
-    fit.add_argument("--trim-alpha", type=float, default=0.1)
-    fit.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
     fit.add_argument("--out", required=True, help="model output path")
     fit.set_defaults(func=cmd_fit)
 
@@ -224,15 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--out", required=True)
     pred.set_defaults(func=cmd_predict)
 
-    cv = sub.add_parser("cv", help="cross-validate the component count")
-    cv.add_argument("--method", required=True, choices=sorted(_FITTERS))
-    cv.add_argument("--curves", required=True)
-    cv.add_argument("--response", required=True)
-    cv.add_argument("--num-basis", type=int, default=20)
-    cv.add_argument("--max-components", type=int, default=5)
+    cv = sub.add_parser("cv", parents=[shared], help="cross-validate the component count")
     cv.add_argument("--folds", type=int, default=5)
-    cv.add_argument("--trim-alpha", type=float, default=0.1)
-    cv.add_argument("--seed", type=int, default=0)
     cv.add_argument("--out", default=None, help="optional per-h score CSV")
     cv.set_defaults(func=cmd_cv)
 

@@ -16,10 +16,8 @@ import numpy as np
 
 from .basis import MultiFunctionalDesign
 from .errors import NumericalError
-from .regression import fit_fpc, fit_fpls, fit_rfpls, predict_from_design
+from .regression import _FITTERS, predict_from_design
 from .robust_pls import initial_weights
-
-_FITTERS = {"fpls": fit_fpls, "rfpls": fit_rfpls, "fpc": fit_fpc}
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ def select_num_components(design: MultiFunctionalDesign, y: np.ndarray,
                 if method == "rfpls":
                     if start is None:
                         start = initial_weights(sub.A, y_train)
-                    fit = fit_rfpls(sub, y_train, h, start_weights=start)
+                    fit = fitter(sub, y_train, h, start_weights=start)
                 else:
                     fit = fitter(sub, y_train, h)
             except NumericalError:

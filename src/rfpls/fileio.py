@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .basis import BasisSystem, build_bspline_system, gram_matrix
+from .basis import build_bspline_system, gram_matrix
 from .errors import InputError
-from .regression import FittedSofr, RobustReport
+from .regression import _FITTERS, FittedSofr, RobustReport
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -44,8 +44,12 @@ def _parse_float(text: str, path: str, line: int, column: int) -> float:
     return value
 
 
-def read_curves(path: str) -> CurveTable:
-    """Read one predictor's curve table."""
+def _read_rows(path: str) -> tuple[list[str], tuple[str, ...], list[tuple[int, list[str]]]]:
+    """Header, sample ids and numbered data rows of a CSV table.
+
+    Blank rows are skipped.  Every data row must have as many cells as
+    the header, and the ids in the first cells must be unique.
+    """
     try:
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
@@ -54,6 +58,23 @@ def read_curves(path: str) -> CurveTable:
     if not rows:
         raise InputError(f"{path}: file is empty")
     header = rows[0]
+    body = [(i, row) for i, row in enumerate(rows[1:], start=2)
+            if any(cell.strip() for cell in row)]
+    for i, row in body:
+        if len(row) != len(header):
+            raise InputError(f"{path}: line {i}: expected {len(header)} cells, "
+                             f"got {len(row)}")
+    ids = tuple(row[0].strip() for _, row in body)
+    if not ids:
+        raise InputError(f"{path}: no data rows")
+    if len(set(ids)) != len(ids):
+        raise InputError(f"{path}: sample ids are not unique")
+    return header, ids, body
+
+
+def read_curves(path: str) -> CurveTable:
+    """Read one predictor's curve table."""
+    header, ids, body = _read_rows(path)
     if len(header) < 3:
         raise InputError(f"{path}: need a header 'id,<t1>,<t2>,...' with at "
                          "least 2 grid points")
@@ -63,23 +84,9 @@ def read_curves(path: str) -> CurveTable:
                      for j, cell in enumerate(header[1:])])
     if (np.diff(grid) <= 0).any():
         raise InputError(f"{path}: grid header values must be strictly increasing")
-    ids: list[str] = []
-    values = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise InputError(f"{path}: line {i}: expected {len(header)} cells, "
-                             f"got {len(row)}")
-        ids.append(row[0].strip())
-        values.append([_parse_float(cell, path, i, j + 2)
-                       for j, cell in enumerate(row[1:])])
-    if not ids:
-        raise InputError(f"{path}: no data rows")
-    if len(set(ids)) != len(ids):
-        raise InputError(f"{path}: sample ids are not unique")
-    return CurveTable(sample_ids=tuple(ids), grid=grid,
-                      values=np.asarray(values, dtype=float))
+    values = [[_parse_float(cell, path, i, j + 2) for j, cell in enumerate(row[1:])]
+              for i, row in body]
+    return CurveTable(sample_ids=ids, grid=grid, values=np.asarray(values, dtype=float))
 
 
 def write_curves(path: str, table: CurveTable) -> None:
@@ -92,30 +99,11 @@ def write_curves(path: str, table: CurveTable) -> None:
 
 def read_response(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Read an ``id,y`` response table."""
-    try:
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    if not rows:
-        raise InputError(f"{path}: file is empty")
-    header = [cell.strip() for cell in rows[0]]
-    if header != ["id", "y"]:
-        raise InputError(f"{path}: header must be 'id,y', got {','.join(rows[0])!r}")
-    ids: list[str] = []
-    y = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise InputError(f"{path}: line {i}: expected 2 cells, got {len(row)}")
-        ids.append(row[0].strip())
-        y.append(_parse_float(row[1], path, i, 2))
-    if not ids:
-        raise InputError(f"{path}: no data rows")
-    if len(set(ids)) != len(ids):
-        raise InputError(f"{path}: sample ids are not unique")
-    return tuple(ids), np.asarray(y, dtype=float)
+    header, ids, body = _read_rows(path)
+    if [cell.strip() for cell in header] != ["id", "y"]:
+        raise InputError(f"{path}: header must be 'id,y', got {','.join(header)!r}")
+    y = [_parse_float(row[1], path, i, 2) for i, row in body]
+    return ids, np.asarray(y, dtype=float)
 
 
 def write_response(path: str, ids, y: np.ndarray) -> None:
@@ -201,12 +189,18 @@ def load_model(path: str) -> FittedSofr:
         intercept = float(doc["intercept"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"{path}: malformed model file ({exc!r})") from None
-    if method not in ("fpls", "rfpls", "fpc"):
+    if not isinstance(method, str) or method not in _FITTERS:
         raise InputError(f"{path}: unknown method {method!r}")
     total = sum(s.num_basis for s in systems)
     if beta.size != total:
         raise InputError(f"{path}: coefficient length {beta.size} does not match "
                          f"the basis layout ({total})")
+    if not np.isfinite(beta).all():
+        raise InputError(f"{path}: beta_coefs must be finite")
+    if not np.isfinite(intercept):
+        raise InputError(f"{path}: intercept must be finite, got {intercept}")
+    if h < 1:
+        raise InputError(f"{path}: h must be at least 1, got {h}")
     Psi = block_diag(*[gram_matrix(s) for s in systems])
     return FittedSofr(method=method, systems=systems, Psi=Psi, beta_coefs=beta,
                       intercept=intercept, h=h, robust_report=report)

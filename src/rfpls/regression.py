@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisSystem, MultiFunctionalDesign, evaluate_basis, smooth_curves
+from .basis import (BasisSystem, MultiFunctionalDesign, _block_slices, _smooth_stack,
+                    evaluate_basis)
 from .robust import m_estimate, select_tuning
 from .robust_pls import prm_fit
 from .simpls import simpls_fit
@@ -68,11 +69,6 @@ class FittedSofr:
     h: int
     robust_report: RobustReport | None = None
 
-    def block_slices(self) -> list[slice]:
-        sizes = [s.num_basis for s in self.systems]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        return [slice(int(lo), int(hi)) for lo, hi in zip(offsets[:-1], offsets[1:])]
-
 
 def _finish(design: MultiFunctionalDesign, method: str, theta: np.ndarray,
             intercept: float, h: int, report: RobustReport | None = None) -> FittedSofr:
@@ -98,8 +94,7 @@ def fit_fpls(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr
 
 
 def fit_rfpls(design: MultiFunctionalDesign, y: np.ndarray, h: int,
-              tol: float = 1e-2, max_iter: int = 100, c: float | None = None,
-              weight_fn=None, m_weight_fn=None,
+              c: float | None = None, weight_fn=None, m_weight_fn=None,
               start_weights: np.ndarray | None = None) -> FittedSofr:
     """Robust functional partial least squares with ``h`` components.
 
@@ -110,8 +105,7 @@ def fit_rfpls(design: MultiFunctionalDesign, y: np.ndarray, h: int,
     ``start_weights`` are passed to ``prm_fit``.
     """
     y = np.asarray(y, dtype=float).ravel()
-    rfit = prm_fit(design.A, y, h, tol=tol, max_iter=max_iter, weight_fn=weight_fn,
-                   start_weights=start_weights)
+    rfit = prm_fit(design.A, y, h, weight_fn=weight_fn, start_weights=start_weights)
     cutoff = float(c) if c is not None else select_tuning(rfit.scores_r, y)
     mest = m_estimate(rfit.scores_r, y, cutoff, weight_fn=m_weight_fn)
     theta = rfit.W_r @ mest.delta
@@ -163,6 +157,9 @@ def fit_fpc(design: MultiFunctionalDesign, y: np.ndarray,
     return _finish(design, "fpc", theta, intercept, num_components)
 
 
+_FITTERS = {"fpls": fit_fpls, "rfpls": fit_rfpls, "fpc": fit_fpc}
+
+
 def coefficient_functions(fit: FittedSofr,
                           grids: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Evaluate each predictor's coefficient function on its grid."""
@@ -170,7 +167,7 @@ def coefficient_functions(fit: FittedSofr,
         raise ValueError(f"model has {len(fit.systems)} predictors but "
                          f"{len(grids)} grids were given")
     out = []
-    for system, grid, block in zip(fit.systems, grids, fit.block_slices()):
+    for system, grid, block in zip(fit.systems, grids, _block_slices(fit.systems)):
         out.append(evaluate_basis(system, np.asarray(grid, dtype=float))
                    @ fit.beta_coefs[block])
     return out
@@ -188,13 +185,5 @@ def predict_from_design(fit: FittedSofr, D_new: np.ndarray) -> np.ndarray:
 def predict(fit: FittedSofr, curves: Sequence[np.ndarray],
             grids: Sequence[np.ndarray]) -> np.ndarray:
     """Smooth new curves in the model's bases and predict responses."""
-    if len(curves) != len(fit.systems) or len(grids) != len(fit.systems):
-        raise ValueError(f"model has {len(fit.systems)} predictors but "
-                         f"{len(curves)} curve blocks and {len(grids)} grids were given")
-    blocks = []
-    for vals, grid, system in zip(curves, grids, fit.systems):
-        blocks.append(smooth_curves(vals, grid, system))
-    ns = {b.shape[0] for b in blocks}
-    if len(ns) != 1:
-        raise ValueError(f"predictors disagree on the number of curves: {sorted(ns)}")
-    return predict_from_design(fit, np.hstack(blocks))
+    return predict_from_design(fit, _smooth_stack(curves, grids, fit.systems))
+

@@ -33,6 +33,13 @@ class HampelConstants:
 
 DEFAULT_HAMPEL = HampelConstants()
 
+# Weiszfeld iteration of ``l1_median``: relative step tolerance and cap.
+_L1_TOL = 1e-8
+_L1_MAX_ITER = 500
+# IRLS of ``m_estimate``: relative coefficient-move tolerance and cap.
+_M_TOL = 1e-8
+_M_MAX_ITER = 100
+
 
 def _as_array(u) -> tuple[np.ndarray, bool]:
     arr = np.asarray(u, dtype=float)
@@ -118,7 +125,7 @@ def mad_scale(e: np.ndarray) -> float:
     return float(np.median(np.abs(arr - np.median(arr))))
 
 
-def l1_median(points: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> np.ndarray:
+def l1_median(points: np.ndarray) -> np.ndarray:
     """Spatial (L1) median of rows by damped Weiszfeld iteration.
 
     Coincident points are handled by the standard correction: when the
@@ -137,7 +144,7 @@ def l1_median(points: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> np.
         return center
     eps = 1e-12 * spread
     m = center
-    for _ in range(max_iter):
+    for _ in range(_L1_MAX_ITER):
         diff = pts - m
         dist = np.linalg.norm(diff, axis=1)
         on_point = dist < eps
@@ -158,7 +165,7 @@ def l1_median(points: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> np.
             m_new = tpoint
         step = float(np.linalg.norm(m_new - m))
         m = m_new
-        if step < tol * spread:
+        if step < _L1_TOL * spread:
             break
     return m
 
@@ -181,16 +188,16 @@ class MEstimate:
     weights: np.ndarray
 
 
-def m_estimate(scores: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-8,
-               max_iter: int = 100, weight_fn=None) -> MEstimate:
+def m_estimate(scores: np.ndarray, y: np.ndarray, c: float,
+               weight_fn=None) -> MEstimate:
     """Tukey bisquare M-regression of ``y`` on ``scores`` with intercept.
 
     Starts from least squares, then alternates residual-MAD rescaling
     with weighted least squares until the coefficient vector moves by
-    less than ``tol`` in relative terms.  A zero residual MAD means more
-    than half the observations are fitted exactly; the estimate is
-    returned as converged with limit weights (1 on exact residuals,
-    0 elsewhere).
+    less than 1e-8 in relative terms, for at most 100 iterations.  A
+    zero residual MAD means more than half the observations are fitted
+    exactly; the estimate is returned as converged with limit weights
+    (1 on exact residuals, 0 elsewhere).
 
     ``weight_fn(e, c)`` may replace the bisquare weights; passing
     ``lambda e, c: np.ones_like(e)`` reduces the fit to least squares.
@@ -217,7 +224,7 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-8,
     iterations = 0
     weights = np.ones(n)
     scale = 0.0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _M_MAX_ITER + 1):
         resid = y - design @ theta
         scale = mad_scale(resid)
         if scale == 0.0:
@@ -236,7 +243,7 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-8,
         move = float(np.linalg.norm(theta_new - theta))
         base = float(np.linalg.norm(theta))
         theta = theta_new
-        if move <= tol * max(base, 1e-300):
+        if move <= _M_TOL * max(base, 1e-300):
             converged = True
             break
     return MEstimate(delta=theta[1:], intercept=float(theta[0]), c=float(c),
@@ -259,7 +266,11 @@ def _efficiency_factors(e: np.ndarray, cands: np.ndarray,
     slopes = (tukey_kappa(e + step, cuts) - tukey_kappa(e - step, cuts)) / (2.0 * step)
     defined = denom != 0.0
     tau = np.full(cands.size, -np.inf)
-    tau[defined] = slopes[defined].sum(axis=1) ** 2 / denom[defined]
+    # Square each sum as a scalar: a scalar ``** 2`` goes through C ``pow``,
+    # which can differ in the last bit from the array square, and the
+    # single-cutoff formula squares a scalar.
+    squares = np.array([total ** 2 for total in slopes[defined].sum(axis=1)])
+    tau[defined] = squares / denom[defined]
     return tau, defined
 
 

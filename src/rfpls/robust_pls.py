@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BreakdownError, DegenerateScaleError
-from .robust import DEFAULT_HAMPEL, HampelConstants, hampel_weight, l1_median, mad_scale
+from .robust import hampel_weight, l1_median, mad_scale
 from .simpls import weighted_simpls_fit
 
 _WEIGHT_FLOOR = 1e-6
+# Relative change in the response loadings below which reweighting stops.
+_PRM_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -27,8 +29,10 @@ class RobustPLSFit:
     """Weighted SIMPLS fit at the final iteration of the reweighting loop.
 
     ``W_r``/``scores_r``/``gamma_r`` play the roles of the classical
-    weight vectors, scores and response loadings; ``weights`` holds the
-    final case weights in [1e-6, 1].
+    weight vectors, scores and response loadings.  ``weights`` holds
+    case weights in [1e-6, 1] rebuilt from this fit's own residuals and
+    score distances, so they are one step after the weights that
+    produced ``W_r``.
     """
 
     W_r: np.ndarray
@@ -47,9 +51,7 @@ def _limit_weights(values: np.ndarray) -> np.ndarray:
     return (values == 0.0).astype(float)
 
 
-def initial_weights(X: np.ndarray, y: np.ndarray,
-                    consts: HampelConstants = DEFAULT_HAMPEL,
-                    weight_fn=None) -> np.ndarray:
+def initial_weights(X: np.ndarray, y: np.ndarray, weight_fn=None) -> np.ndarray:
     """Starting case weights from response and leverage outlyingness.
 
     The residual factor downweights responses far from the median in MAD
@@ -65,7 +67,7 @@ def initial_weights(X: np.ndarray, y: np.ndarray,
         raise ValueError(f"X has {n} rows but y has {y.size}")
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
-    wfn = weight_fn if weight_fn is not None else (lambda v: hampel_weight(v, consts))
+    wfn = weight_fn if weight_fn is not None else hampel_weight
 
     scale_y = mad_scale(y)
     if scale_y == 0.0:
@@ -82,8 +84,7 @@ def initial_weights(X: np.ndarray, y: np.ndarray,
     return np.clip(w_resid * w_lev, _WEIGHT_FLOOR, 1.0)
 
 
-def prm_fit(X: np.ndarray, y: np.ndarray, h: int, tol: float = 1e-2,
-            max_iter: int = 100, consts: HampelConstants = DEFAULT_HAMPEL,
+def prm_fit(X: np.ndarray, y: np.ndarray, h: int, max_iter: int = 100,
             weight_fn=None, start_weights: np.ndarray | None = None) -> RobustPLSFit:
     """Robust SIMPLS of ``y`` on rows of ``X`` by iterative reweighting.
 
@@ -93,29 +94,27 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, tol: float = 1e-2,
     y : ndarray of shape (n,)
     h : int
         Requested number of components.
-    tol : float
-        Relative change in the response loadings below which the loop
-        stops.
     max_iter : int
         Iteration cap; hitting it returns ``converged=False`` rather
-        than raising.
-    consts : HampelConstants
-        Cutoffs for both weight factors.
+        than raising.  The loop stops earlier once the response loadings
+        move by less than 1% of their norm.
     weight_fn : callable, optional
-        Replacement for the Hampel factor, called on nonnegative
+        Replacement for the default Hampel factor, called on nonnegative
         standardized distances.  ``lambda v: np.ones_like(v)`` turns the
         procedure into classical SIMPLS.
     start_weights : ndarray of shape (n,), optional
         Case weights of the first pass, as returned by
-        ``initial_weights(X, y, consts, weight_fn)``; computed when
-        absent.  Fits that share ``X`` and ``y`` but not ``h`` can share
-        them.
+        ``initial_weights(X, y, weight_fn)``; computed when absent.
+        Fits that share ``X`` and ``y`` but not ``h`` can share them.
 
     Notes
     -----
     Residuals use the fitted intercept, i.e. ``y - (gamma0 + scores @
     gamma)``; leverage distances are measured from the spatial median of
-    the corrected scores and standardized by their median.
+    the corrected scores and standardized by their median.  Every pass,
+    the last included, ends by rebuilding the weights from the fit it
+    made, so the returned ``weights`` are those the next pass would use,
+    not those behind the returned ``W_r``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -126,10 +125,10 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, tol: float = 1e-2,
         raise ValueError(f"need at least h + 2 = {h + 2} observations, got {n}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    wfn = weight_fn if weight_fn is not None else (lambda v: hampel_weight(v, consts))
+    wfn = weight_fn if weight_fn is not None else hampel_weight
 
     if start_weights is None:
-        weights = initial_weights(X, y, consts, weight_fn)
+        weights = initial_weights(X, y, weight_fn)
     else:
         weights = np.asarray(start_weights, dtype=float).ravel()
         if weights.size != n:
@@ -160,7 +159,7 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, tol: float = 1e-2,
         if gamma_prev is not None and gamma_prev.size == fit.gamma.size:
             base = float(np.linalg.norm(gamma_prev))
             move = float(np.linalg.norm(fit.gamma - gamma_prev))
-            if move <= tol * max(base, 1e-300):
+            if move <= _PRM_TOL * max(base, 1e-300):
                 converged = True
                 break
         gamma_prev = fit.gamma

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import simpson
@@ -30,15 +31,13 @@ from scipy.integrate import simpson
 from .basis import build_bspline_system, build_design
 from .errors import ConfigError, NumericalError
 from .evaluation import risee, select_num_components, trimmed_mspe, trimmed_r2
-from .regression import coefficient_functions, fit_fpc, fit_fpls, fit_rfpls, predict_from_design
+from .regression import _FITTERS, coefficient_functions, predict_from_design
 
 GRID_POINTS = 200
 NUM_PREDICTORS = 3
 NUM_HARMONICS = 5
 CONTAMINATION_NOISE_STD = 10.0
 _FINE_GRID = np.linspace(0.0, 1.0, 2001)
-
-_FITTERS = {"fpls": fit_fpls, "rfpls": fit_rfpls, "fpc": fit_fpc}
 
 
 def _score_stds() -> np.ndarray:
@@ -290,10 +289,6 @@ def _one_blas_thread() -> None:
                 break
 
 
-def _replication_star(args) -> tuple[list[ResultRow], list[FailureRow]]:
-    return _run_replication(*args)
-
-
 @dataclass
 class ExperimentResult:
     """All metric rows of an experiment plus any per-cell failures."""
@@ -360,8 +355,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     else:
         with ProcessPoolExecutor(max_workers=config.workers,
                                  initializer=_one_blas_thread) as pool:
-            for rows, failures in pool.map(_replication_star,
-                                           [(config, rep) for rep in reps]):
+            for rows, failures in pool.map(_run_replication,
+                                           itertools.repeat(config), reps):
                 result.rows.extend(rows)
                 result.failures.extend(failures)
     return result

@@ -1,6 +1,7 @@
 """Command line behavior: round trips, printed reports, and exit codes."""
 
 import csv
+import functools
 import os
 import subprocess
 import sys
@@ -10,11 +11,13 @@ import numpy as np
 import pytest
 
 import rfpls
+from rfpls import regression, robust
 from rfpls.basis import build_bspline_system, evaluate_basis
 from rfpls.cli import load_experiment_config, main
 from rfpls.errors import ConfigError
 from rfpls.fileio import CurveTable, load_model, read_response, write_curves, write_response
 from rfpls.regression import predict
+from rfpls.robust_pls import prm_fit
 
 
 def _make_tables(dirpath, n=40, seed=0, predictors=2, y_shift=None):
@@ -100,6 +103,33 @@ class TestFitPredictRoundTrip:
                         if ln.startswith("downweighted samples")][0]
         assert "s04" in flagged_line and "s29" in flagged_line
         assert load_model(model).robust_report is not None
+
+    @pytest.mark.parametrize("stage", ["reweighting", "M-step"])
+    def test_robust_fit_warns_on_a_capped_loop(self, tmp_path, capsys, monkeypatch, stage):
+        """The robust line reports both loops' iterations and convergence;
+        a loop stopped at its cap adds one warning line on stderr."""
+        curves, response, _ = _make_tables(tmp_path, seed=2)
+        argv = ["fit", "--method", "rfpls", "--curves", curves, "--response", response,
+                "--num-basis", "8", "--components", "2",
+                "--out", str(tmp_path / "model.json")]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "rfpls: warning" not in captured.err
+        assert " converged=True m_iterations=" in captured.out
+        assert " m_converged=True scale=" in captured.out
+
+        if stage == "reweighting":
+            monkeypatch.setattr(regression, "prm_fit", functools.partial(prm_fit, max_iter=1))
+            flag = " converged=False m_iterations="
+        else:
+            monkeypatch.setattr(robust, "_M_MAX_ITER", 1)
+            flag = " m_converged=False scale="
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert flag in captured.out
+        warnings = [ln for ln in captured.err.splitlines() if ln]
+        assert warnings == [f"rfpls: warning: {stage} stopped at its iteration cap (1) "
+                            "without converging"]
 
 
 class TestCvCommand:
@@ -239,6 +269,14 @@ class TestExitCodes:
                           ["simulate", "--config", str(config),
                            "--out", str(tmp_path / "r.csv")],
                           4, "config", "unknown config keys")
+
+    def test_zero_workers_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "ok.ini"
+        config.write_text("[experiment]\nreplications = 1\n")
+        self._assert_fail(capsys,
+                          ["simulate", "--config", str(config),
+                           "--out", str(tmp_path / "r.csv"), "--workers", "0"],
+                          4, "config", "workers must be at least 1, got 0")
 
     def test_argparse_failures_use_exit_two(self, capsys):
         assert main(["unknown-command"]) == 2

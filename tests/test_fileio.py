@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rfpls.basis import build_bspline_system, build_design, evaluate_basis
+from rfpls.cli import main
 from rfpls.errors import InputError
 from rfpls.fileio import (CurveTable, load_model, read_curves, read_response,
                           save_model, write_curves, write_predictions,
@@ -159,6 +160,31 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError, match=pattern):
             load_model(path)
+
+    @pytest.mark.parametrize("field,value,pattern", [
+        ("beta_coefs", float("nan"), "beta_coefs must be finite"),
+        ("intercept", float("inf"), "intercept must be finite"),
+        ("h", -7, "h must be at least 1"),
+    ])
+    def test_out_of_range_fields_rejected(self, tmp_path, capsys, field, value, pattern):
+        """A non-finite coefficient or intercept, or a component count
+        below 1, fails to load; ``rfpls predict`` exits with code 2."""
+        design, y = _fitted_pair(8)
+        path = tmp_path / "model.json"
+        save_model(path, fit_fpls(design, y, 2))
+        doc = json.loads(path.read_text())
+        if field == "beta_coefs":
+            doc["beta_coefs"][3] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=pattern):
+            load_model(path)
+        rc = main(["predict", "--model", str(path), "--curves", "unused.csv",
+                   "--out", str(tmp_path / "pred.csv")])
+        assert rc == 2
+        assert pattern in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
 
     def test_non_json_and_missing_files(self, tmp_path):
         path = tmp_path / "junk.json"

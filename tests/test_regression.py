@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from rfpls.basis import build_bspline_system, build_design, evaluate_basis
 from rfpls.evaluation import risee
 from rfpls.regression import (coefficient_functions, fit_fpc, fit_fpls,
                               fit_rfpls, predict, predict_from_design)
-from rfpls.simulation import generate_clean
+from rfpls.simulation import contaminate, generate_clean
 
 
 def _unit(v):
@@ -182,3 +184,27 @@ def test_non_finite_response_rejected(fitter, bad):
     y[4] = bad
     with pytest.raises(ValueError, match="finite"):
         fitter(design, y, 2)
+
+
+@pytest.fixture(scope="module")
+def contaminated_design():
+    data = contaminate(generate_clean(60, 3), 0.1, 4)
+    systems = [build_bspline_system((0.0, 1.0), 8) for _ in data.curves]
+    return build_design(data.curves, data.grids, systems), data.y
+
+
+@settings(max_examples=48, deadline=None)
+@given(k=st.integers(-20, 30), h=st.integers(1, 3))
+def test_rfpls_scale_equivariance_is_exact(contaminated_design, k, h):
+    """Scaling the response by a power of two scales the coefficients and
+    the intercept by exactly that power and leaves cutoff and weights
+    unchanged: every standardization in the robust path divides the
+    factor out without rounding."""
+    design, y = contaminated_design
+    base = fit_rfpls(design, y, h)
+    scaled = fit_rfpls(design, 2.0 ** k * y, h)
+    np.testing.assert_array_equal(scaled.beta_coefs, 2.0 ** k * base.beta_coefs)
+    assert scaled.intercept == 2.0 ** k * base.intercept
+    assert scaled.robust_report.c == base.robust_report.c
+    np.testing.assert_array_equal(scaled.robust_report.weights,
+                                  base.robust_report.weights)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rfpls.errors import BreakdownError, DegenerateScaleError
+from rfpls.robust import hampel_weight, l1_median, mad_scale
 from rfpls.robust_pls import initial_weights, prm_fit
 from rfpls.simpls import simpls_fit
 
@@ -148,6 +149,23 @@ class TestPrmFit:
             assert got.iterations == want.iterations
         with pytest.raises(ValueError, match="start_weights"):
             prm_fit(X, y, 2, start_weights=start[:-1])
+
+    def test_weights_are_rebuilt_from_the_returned_fit(self):
+        """The returned weights follow from ``scores_r``, ``gamma0`` and
+        ``gamma_r`` bit for bit; after a single pass they differ from the
+        start weights that produced ``W_r``."""
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(60, 5))
+        y = X @ rng.normal(size=5) + rng.standard_t(2, size=60)
+        for h, max_iter in ((1, 100), (2, 100), (3, 100), (2, 1)):
+            fit = prm_fit(X, y, h, max_iter=max_iter)
+            resid = y - (fit.gamma0 + fit.scores_r @ fit.gamma_r)
+            w_resid = hampel_weight(np.abs(resid) / mad_scale(resid))
+            dist = np.linalg.norm(fit.scores_r - l1_median(fit.scores_r), axis=1)
+            w_lev = hampel_weight(dist / float(np.median(dist)))
+            np.testing.assert_array_equal(fit.weights,
+                                          np.clip(w_resid * w_lev, 1e-6, 1.0))
+        assert not np.array_equal(fit.weights, initial_weights(X, y))
 
     def test_validation(self):
         X = np.random.default_rng(15).normal(size=(10, 3))
