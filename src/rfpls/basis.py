@@ -11,7 +11,8 @@ regression machinery operate on functional data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -209,6 +210,40 @@ def _smooth_stack(curves: Sequence[np.ndarray], grids: Sequence[np.ndarray],
     return np.hstack(blocks)
 
 
+class _Geometry(NamedTuple):
+    """Block-diagonal Gram matrix of a basis layout and its two roots."""
+
+    Psi: np.ndarray
+    Psi_half: np.ndarray
+    Psi_inv_half: np.ndarray
+
+
+def _geometry(systems: Sequence[BasisSystem]) -> _Geometry:
+    """Gram geometry of the stacked bases, computed once per basis layout.
+
+    The layout is keyed by value, knots included, so the fresh but equal
+    ``BasisSystem`` objects of every replication, design and loaded model
+    share one read-only set of matrices.
+    """
+    return _layout_geometry(tuple(
+        (tuple(float(v) for v in s.domain), int(s.num_basis), int(s.order),
+         tuple(np.asarray(s.knots, dtype=float).tolist()))
+        for s in systems))
+
+
+# A run uses one or two layouts; the bound caps what a long session keeps.
+@lru_cache(maxsize=16)
+def _layout_geometry(layout) -> _Geometry:
+    grams = [gram_matrix(BasisSystem(domain, num_basis, order, np.array(knots)))
+             for domain, num_basis, order, knots in layout]
+    geometry = _Geometry(block_diag(*grams),
+                         block_diag(*[sqrt_gram(g) for g in grams]),
+                         block_diag(*[inv_sqrt_gram(g) for g in grams]))
+    for mat in geometry:
+        mat.flags.writeable = False
+    return geometry
+
+
 @dataclass(frozen=True)
 class MultiFunctionalDesign:
     """Basis representation of several functional predictors for one sample.
@@ -219,21 +254,31 @@ class MultiFunctionalDesign:
         One basis per predictor.
     D : ndarray of shape (n, p)
         Stacked coefficient rows, ``p = sum of num_basis``.
-    Psi : ndarray of shape (p, p)
-        Block-diagonal Gram matrix of the stacked basis.
-    Psi_half, Psi_inv_half : ndarray of shape (p, p)
-        Symmetric square root of ``Psi`` and its pseudo-inverse.
     A : ndarray of shape (n, p)
         Geometry-corrected design ``D @ Psi_half.T``; Euclidean inner
         products of its rows equal L2 inner products of the curves.
+
+    ``Psi`` (the block-diagonal Gram matrix of the stacked basis),
+    ``Psi_half`` (its symmetric square root) and ``Psi_inv_half`` (the
+    pseudo-inverse of that root) are read-only properties shared by every
+    design on the same basis layout.
     """
 
     systems: tuple[BasisSystem, ...]
     D: np.ndarray
-    Psi: np.ndarray
-    Psi_half: np.ndarray
-    Psi_inv_half: np.ndarray
     A: np.ndarray
+
+    @property
+    def Psi(self) -> np.ndarray:
+        return _geometry(self.systems).Psi
+
+    @property
+    def Psi_half(self) -> np.ndarray:
+        return _geometry(self.systems).Psi_half
+
+    @property
+    def Psi_inv_half(self) -> np.ndarray:
+        return _geometry(self.systems).Psi_inv_half
 
     @property
     def n(self) -> int:
@@ -267,10 +312,5 @@ def build_design(curves: Sequence[np.ndarray], grids: Sequence[np.ndarray],
         One basis per predictor.
     """
     D = _smooth_stack(curves, grids, systems)
-    grams = [gram_matrix(s) for s in systems]
-    Psi = block_diag(*grams)
-    Psi_half = block_diag(*[sqrt_gram(g) for g in grams])
-    Psi_inv_half = block_diag(*[inv_sqrt_gram(g) for g in grams])
-    A = D @ Psi_half.T
-    return MultiFunctionalDesign(systems=tuple(systems), D=D, Psi=Psi,
-                                 Psi_half=Psi_half, Psi_inv_half=Psi_inv_half, A=A)
+    A = D @ _geometry(systems).Psi_half.T
+    return MultiFunctionalDesign(systems=tuple(systems), D=D, A=A)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import MultiFunctionalDesign
 from .errors import NumericalError
-from .regression import _FITTERS, predict_from_design
+from .regression import _FITTERS, _RankError, predict_from_design
 from .robust_pls import initial_weights
 
 
@@ -131,10 +131,11 @@ def select_num_components(design: MultiFunctionalDesign, y: np.ndarray,
     ``folds`` nearly equal parts.  For each candidate ``h`` the pooled
     score sums kept squared errors across folds and divides by the kept
     count; the smallest score wins, ties going to the smaller ``h``.
-    Folds whose training part cannot support ``h`` components, or where
-    the fit breaks down, are skipped and recorded.  For ``'rfpls'`` the
-    PRM start weights depend on the fold only, so each fold computes them
-    once, at its first fitted cell, and shares them across ``h``.
+    Folds whose training part cannot support ``h`` components (too few
+    rows, or for ``'fpc'`` too low a rank), or where the fit breaks down,
+    are skipped and recorded.  For ``'rfpls'`` the PRM start weights
+    depend on the fold only, so each fold computes them once, at its
+    first fitted cell, and shares them across ``h``.
     """
     if method not in _FITTERS:
         raise ValueError(f"method must be one of {sorted(_FITTERS)}, got {method!r}")
@@ -170,7 +171,7 @@ def select_num_components(design: MultiFunctionalDesign, y: np.ndarray,
                     fit = fitter(sub, y_train, h, start_weights=start)
                 else:
                     fit = fitter(sub, y_train, h)
-            except NumericalError:
+            except (NumericalError, _RankError):
                 skipped.append((h, fold))
                 continue
             pred = predict_from_design(fit, design.D[test_idx])

@@ -14,9 +14,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .basis import build_bspline_system, gram_matrix
+from .basis import build_bspline_system
 from .errors import InputError
 from .regression import _FITTERS, FittedSofr, RobustReport
 
@@ -153,8 +152,42 @@ def save_model(path: str, fit: FittedSofr) -> None:
         handle.write("\n")
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; ``true`` and ``2.0`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_robust(path: str, rep: RobustReport, h: int) -> None:
+    """Reject diagnostics that no robust fit can have produced."""
+    w = rep.weights
+    if w.ndim != 1 or w.size < h + 2:
+        raise InputError(f"{path}: robust weights need one entry per training "
+                         f"sample, at least h + 2 = {h + 2}; got shape {w.shape}")
+    if not (np.isfinite(w).all() and ((w >= 0.0) & (w <= 1.0)).all()):
+        raise InputError(f"{path}: robust weights must be finite and in [0, 1]")
+    if not (np.isfinite(rep.c) and rep.c > 0.0):
+        raise InputError(f"{path}: robust c must be finite and positive, got {rep.c}")
+    if not (np.isfinite(rep.scale) and rep.scale >= 0.0):
+        raise InputError(f"{path}: robust scale must be finite and nonnegative, "
+                         f"got {rep.scale}")
+    for name in ("prm_iterations", "m_iterations"):
+        count = getattr(rep, name)
+        if not _is_int(count) or count < 1:
+            raise InputError(f"{path}: robust {name} must be an integer of at "
+                             f"least 1, got {count!r}")
+    for name in ("prm_converged", "m_converged"):
+        flag = getattr(rep, name)
+        if not isinstance(flag, bool):
+            raise InputError(f"{path}: robust {name} must be true or false, "
+                             f"got {flag!r}")
+
+
 def load_model(path: str) -> FittedSofr:
-    """Rebuild a fitted model saved by ``save_model``."""
+    """Rebuild a fitted model saved by ``save_model``.
+
+    Values that no fit can produce are rejected.  The Gram geometry is
+    not stored: predictions derive it from the basis layout.
+    """
     try:
         with open(path) as handle:
             doc = json.load(handle)
@@ -179,13 +212,13 @@ def load_model(path: str) -> FittedSofr:
             rb = doc["robust"]
             report = RobustReport(weights=np.asarray(rb["weights"], dtype=float),
                                   c=float(rb["c"]),
-                                  prm_iterations=int(rb["prm_iterations"]),
-                                  prm_converged=bool(rb["prm_converged"]),
-                                  m_iterations=int(rb["m_iterations"]),
-                                  m_converged=bool(rb["m_converged"]),
+                                  prm_iterations=rb["prm_iterations"],
+                                  prm_converged=rb["prm_converged"],
+                                  m_iterations=rb["m_iterations"],
+                                  m_converged=rb["m_converged"],
                                   scale=float(rb["scale"]))
         method = doc["method"]
-        h = int(doc["h"])
+        h = doc["h"]
         intercept = float(doc["intercept"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"{path}: malformed model file ({exc!r})") from None
@@ -199,8 +232,15 @@ def load_model(path: str) -> FittedSofr:
         raise InputError(f"{path}: beta_coefs must be finite")
     if not np.isfinite(intercept):
         raise InputError(f"{path}: intercept must be finite, got {intercept}")
+    if not _is_int(h):
+        raise InputError(f"{path}: h must be an integer, got {h!r}")
     if h < 1:
         raise InputError(f"{path}: h must be at least 1, got {h}")
-    Psi = block_diag(*[gram_matrix(s) for s in systems])
-    return FittedSofr(method=method, systems=systems, Psi=Psi, beta_coefs=beta,
+    if h > total:
+        raise InputError(f"{path}: h = {h} exceeds the {total} basis functions")
+    if report is not None:
+        if method != "rfpls":
+            raise InputError(f"{path}: a {method} model has no robust block")
+        _check_robust(path, report, h)
+    return FittedSofr(method=method, systems=systems, beta_coefs=beta,
                       intercept=intercept, h=h, robust_report=report)

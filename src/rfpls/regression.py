@@ -17,11 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import (BasisSystem, MultiFunctionalDesign, _block_slices, _smooth_stack,
-                    evaluate_basis)
+from .basis import (BasisSystem, MultiFunctionalDesign, _block_slices, _geometry,
+                    _smooth_stack, evaluate_basis)
 from .robust import m_estimate, select_tuning
 from .robust_pls import prm_fit
 from .simpls import simpls_fit
+
+
+class _RankError(ValueError):
+    """More components were requested than the design has directions."""
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,6 @@ class FittedSofr:
     systems : tuple of BasisSystem
         Basis of each predictor, needed to evaluate coefficients and to
         smooth new curves.
-    Psi : ndarray
-        Block-diagonal Gram matrix of the stacked basis.
     beta_coefs : ndarray of shape (p,)
         Stacked basis coefficients of the coefficient functions.
     intercept : float
@@ -59,24 +61,29 @@ class FittedSofr:
         Number of components (or principal components) used.
     robust_report : RobustReport or None
         Present only for the robust method.
+
+    ``Psi``, the block-diagonal Gram matrix of the stacked basis, is a
+    read-only property derived from ``systems``.
     """
 
     method: str
     systems: tuple[BasisSystem, ...]
-    Psi: np.ndarray
     beta_coefs: np.ndarray
     intercept: float
     h: int
     robust_report: RobustReport | None = None
+
+    @property
+    def Psi(self) -> np.ndarray:
+        return _geometry(self.systems).Psi
 
 
 def _finish(design: MultiFunctionalDesign, method: str, theta: np.ndarray,
             intercept: float, h: int, report: RobustReport | None = None) -> FittedSofr:
     """Pull a corrected-space direction back to basis coefficients."""
     beta = design.Psi_inv_half.T @ theta
-    return FittedSofr(method=method, systems=design.systems, Psi=design.Psi,
-                      beta_coefs=beta, intercept=float(intercept), h=h,
-                      robust_report=report)
+    return FittedSofr(method=method, systems=design.systems, beta_coefs=beta,
+                      intercept=float(intercept), h=h, robust_report=report)
 
 
 def fit_fpls(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr:
@@ -144,7 +151,7 @@ def fit_fpc(design: MultiFunctionalDesign, y: np.ndarray,
     evals, evecs = evals[::-1], evecs[:, ::-1]
     rank = int((evals > max(float(evals[0]), 0.0) * 1e-10).sum())
     if num_components > rank:
-        raise ValueError(f"num_components = {num_components} exceeds the available "
+        raise _RankError(f"num_components = {num_components} exceeds the available "
                          f"rank {rank}")
     V = evecs[:, :num_components].copy()
     flip = V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])] < 0

@@ -1,15 +1,19 @@
 """Basis construction, evaluation, Gram machinery and smoothing."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
 from scipy.integrate import simpson
 
+from rfpls import basis
 from rfpls.basis import (build_bspline_system, build_design, evaluate_basis,
                          gram_from_function, gram_matrix, inv_sqrt_gram,
                          smooth_curves, sqrt_gram)
+from rfpls.fileio import load_model, save_model
+from rfpls.regression import fit_fpls, predict
 
 
 def _recursive_bspline(knots, i, degree, x):
@@ -243,3 +247,59 @@ class TestBuildDesign:
         curves[1] = curves[1][:-1]
         with pytest.raises(ValueError):
             build_design(curves, grids, systems)
+
+
+class TestGeometryPerLayout:
+    """The Gram matrix and its roots are derived once per basis layout."""
+
+    @staticmethod
+    def _sample(domains, seed, n=12, num_basis=6):
+        """Fresh basis objects and curves on the given domains."""
+        rng = np.random.default_rng(seed)
+        systems = [build_bspline_system(d, num_basis) for d in domains]
+        grids = [np.linspace(d[0], d[1], 30) for d in domains]
+        curves = [rng.normal(size=(n, 30)) for _ in domains]
+        return curves, grids, systems
+
+    def test_computed_on_first_design_only(self, monkeypatch, tmp_path):
+        """Five designs, a saved and reloaded model and a prediction on one
+        layout, each with new but equal ``BasisSystem`` objects, run the
+        Gram routines only inside the first ``build_design``."""
+        calls = Counter()
+        for name in ("gram_matrix", "sqrt_gram", "inv_sqrt_gram"):
+            def counted(*args, _name=name, _fn=getattr(basis, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(basis, name, counted)
+        # Domains no other test uses, so the layout is new to this process.
+        domains = [(0.0, 1.0 + 2.0 ** -20), (-1.0, 2.0 + 2.0 ** -20)]
+        after = []
+        for seed in range(5):
+            curves, grids, systems = self._sample(domains, seed)
+            design = build_design(curves, grids, systems)
+            after.append(dict(calls))
+        assert after == [{"gram_matrix": 2, "sqrt_gram": 2, "inv_sqrt_gram": 2}] * 5
+        y = np.random.default_rng(9).normal(size=design.n)
+        path = tmp_path / "model.json"
+        save_model(path, fit_fpls(design, y, 2))
+        predict(load_model(path), curves, grids)
+        assert dict(calls) == after[0]
+
+    def test_layouts_differ_by_domain(self):
+        """Equal shapes on [0, 1] and [0, 3]: the Gram matrix scales with
+        the interval length, so the two layouts cannot share geometry."""
+        short = build_design(*self._sample([(0.0, 1.0)], 0))
+        long = build_design(*self._sample([(0.0, 3.0)], 0))
+        assert short.Psi.shape == long.Psi.shape
+        assert not np.array_equal(short.Psi, long.Psi)
+        np.testing.assert_allclose(long.Psi, 3.0 * short.Psi, rtol=1e-12)
+        np.testing.assert_allclose(long.Psi_half, math.sqrt(3.0) * short.Psi_half,
+                                   rtol=1e-10)
+
+    def test_shared_matrices_are_read_only(self):
+        curves, grids, systems = self._sample([(0.0, 1.0), (0.0, 2.0)], 1)
+        design = build_design(curves, grids, systems)
+        fit = fit_fpls(design, np.arange(design.n, dtype=float), 1)
+        for mat in (design.Psi, design.Psi_half, design.Psi_inv_half, fit.Psi):
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 1.0

@@ -262,6 +262,17 @@ class TestExitCodes:
                            "--components", "1", "--out", str(tmp_path / "m.json")],
                           3, "numerical", "")
 
+    def test_fpc_components_past_the_rank_is_input_error(self, tmp_path, capsys):
+        """Two predictors in 8 B-splines give at most 16 principal
+        components; asking for 17 is a bad flag, not a numerical failure."""
+        curves, response, _ = _make_tables(tmp_path)
+        self._assert_fail(capsys,
+                          ["fit", "--method", "fpc", "--curves", curves,
+                           "--response", response, "--num-basis", "8",
+                           "--components", "17", "--out", str(tmp_path / "m.json")],
+                          2, "input", "rank")
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[experiment]\nnope = 3\n")

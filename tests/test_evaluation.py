@@ -12,6 +12,7 @@ from rfpls.errors import NumericalError
 from rfpls.evaluation import (iqr_outliers, risee, select_num_components,
                               trimmed_mspe, trimmed_r2)
 from rfpls.regression import fit_fpls, fit_rfpls, predict_from_design
+from rfpls.simulation import generate_clean
 
 
 class TestTrimmedMspe:
@@ -181,6 +182,20 @@ class TestSelectNumComponents:
         assert np.isinf(report.scores[4:]).all()
         assert set(report.skipped) == {(h, f) for h in (5, 6) for f in range(4)}
         assert report.chosen_h <= 4
+
+    def test_fpc_cells_past_the_design_rank_are_skipped(self):
+        """Three predictors in 4 B-splines each give a rank-12 design; fpc
+        cells asking for more components are skipped like cells the
+        other methods cannot fit, and CV carries on."""
+        data = generate_clean(60, 3)
+        systems = [build_bspline_system((0.0, 1.0), 4) for _ in data.curves]
+        design = build_design(data.curves, data.grids, systems)
+        report = select_num_components(design, data.y, max_components=15,
+                                       method="fpc", seed=0)
+        assert np.isfinite(report.scores[:12]).all()
+        assert np.isinf(report.scores[12:]).all()
+        assert set(report.skipped) == {(h, f) for h in (13, 14, 15) for f in range(5)}
+        assert report.chosen_h <= 12
 
     def test_rfpls_shares_start_weights_within_a_fold(self, monkeypatch):
         """PRM start weights are computed once per fold, and the report

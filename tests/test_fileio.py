@@ -165,10 +165,15 @@ class TestModelFiles:
         ("beta_coefs", float("nan"), "beta_coefs must be finite"),
         ("intercept", float("inf"), "intercept must be finite"),
         ("h", -7, "h must be at least 1"),
+        ("h", 2.7, "h must be an integer"),
+        ("h", 2.0, "h must be an integer"),
+        ("h", True, "h must be an integer"),
+        ("h", 99, "h = 99 exceeds the 11 basis functions"),
     ])
     def test_out_of_range_fields_rejected(self, tmp_path, capsys, field, value, pattern):
-        """A non-finite coefficient or intercept, or a component count
-        below 1, fails to load; ``rfpls predict`` exits with code 2."""
+        """A non-finite coefficient or intercept, or a component count that
+        is not an integer from 1 to the basis size, fails to load;
+        ``rfpls predict`` exits with code 2."""
         design, y = _fitted_pair(8)
         path = tmp_path / "model.json"
         save_model(path, fit_fpls(design, y, 2))
@@ -184,6 +189,43 @@ class TestModelFiles:
                    "--out", str(tmp_path / "pred.csv")])
         assert rc == 2
         assert pattern in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
+    @pytest.mark.parametrize("mutate,pattern", [
+        (lambda d: d["robust"]["weights"].__setitem__(0, float("nan")),
+         "weights must be finite"),
+        (lambda d: d["robust"]["weights"].__setitem__(0, 1.5), r"in \[0, 1\]"),
+        (lambda d: d["robust"]["weights"].__setitem__(0, -0.5), r"in \[0, 1\]"),
+        (lambda d: d["robust"].update(weights=[0.5]), "one entry per training sample"),
+        (lambda d: d["robust"].update(c=-1.0), "c must be finite and positive"),
+        (lambda d: d["robust"].update(c=0.0), "c must be finite and positive"),
+        (lambda d: d["robust"].update(c=float("inf")), "c must be finite and positive"),
+        (lambda d: d["robust"].update(scale=-1.0), "scale must be finite"),
+        (lambda d: d["robust"].update(scale=float("nan")), "scale must be finite"),
+        (lambda d: d["robust"].update(prm_iterations=0), "prm_iterations"),
+        (lambda d: d["robust"].update(m_iterations=2.5), "m_iterations"),
+        (lambda d: d["robust"].update(m_iterations=True), "m_iterations"),
+        (lambda d: d["robust"].update(prm_converged="yes"), "prm_converged"),
+        (lambda d: d.update(method="fpls"), "fpls model has no robust block"),
+    ], ids=["weight-nan", "weight-above-1", "weight-negative", "one-weight",
+            "c-negative", "c-zero", "c-inf", "scale-negative", "scale-nan",
+            "prm-iterations-0", "m-iterations-float", "m-iterations-bool",
+            "converged-string", "robust-on-fpls"])
+    def test_implausible_robust_block_rejected(self, tmp_path, capsys, mutate, pattern):
+        """A robust block that no rfpls fit can produce fails to load;
+        ``rfpls predict`` exits with code 2 and writes nothing."""
+        design, y = _fitted_pair(9)
+        path = tmp_path / "model.json"
+        save_model(path, fit_rfpls(design, y, 2))
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=pattern):
+            load_model(path)
+        rc = main(["predict", "--model", str(path), "--curves", "unused.csv",
+                   "--out", str(tmp_path / "pred.csv")])
+        assert rc == 2
+        assert "rfpls: input error:" in capsys.readouterr().err
         assert not (tmp_path / "pred.csv").exists()
 
     def test_non_json_and_missing_files(self, tmp_path):

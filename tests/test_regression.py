@@ -1,5 +1,7 @@
 """Scalar-on-function estimators checked against exact models and oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from rfpls.basis import build_bspline_system, build_design, evaluate_basis
+from rfpls.errors import RfplsError
 from rfpls.evaluation import risee
-from rfpls.regression import (coefficient_functions, fit_fpc, fit_fpls,
-                              fit_rfpls, predict, predict_from_design)
+from rfpls.regression import (_FITTERS, FittedSofr, coefficient_functions, fit_fpc,
+                              fit_fpls, fit_rfpls, predict, predict_from_design)
 from rfpls.simulation import contaminate, generate_clean
 
 
@@ -208,3 +211,57 @@ def test_rfpls_scale_equivariance_is_exact(contaminated_design, k, h):
     assert scaled.robust_report.c == base.robust_report.c
     np.testing.assert_array_equal(scaled.robust_report.weights,
                                   base.robust_report.weights)
+
+
+def test_gram_matrix_is_derived_not_stored():
+    """A fitted model keeps the basis layout, not a copy of its Gram matrix;
+    ``Psi`` is read from the layout's shared geometry."""
+    assert "Psi" not in {f.name for f in dataclasses.fields(FittedSofr)}
+    design, y, *_ = _span_model(13)
+    fit = fit_fpls(design, y, 2)
+    assert fit.Psi is design.Psi
+
+
+@st.composite
+def _awkward_samples(draw):
+    """Small designs with gross response outliers, leverage outliers and
+    duplicated rows: 8 to 40 curves, 1 to 3 predictors in 4 to 8 splines."""
+    n = draw(st.integers(8, 40))
+    sizes = draw(st.lists(st.integers(4, 8), min_size=1, max_size=3))
+    h = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    systems = [build_bspline_system((0.0, 1.0), k) for k in sizes]
+    grids = [np.linspace(0.0, 1.0, 25) for _ in sizes]
+    coefs = [rng.normal(size=(n, k)) for k in sizes]
+    y = sum(c @ rng.normal(size=c.shape[1]) for c in coefs) + 0.3 * rng.normal(size=n)
+    magnitude = draw(st.sampled_from([10.0, 1e3, 1e6]))
+    bad = rng.choice(n, size=draw(st.integers(0, n // 3)), replace=False)
+    y[bad] += magnitude * rng.choice([-1.0, 1.0], size=bad.size)
+    if draw(st.booleans()):
+        coefs[0][bad] *= magnitude
+    copies = draw(st.integers(0, n // 2))
+    source = rng.integers(0, n - copies, size=copies)
+    for c in coefs:
+        c[n - copies:] = c[source]
+    y[n - copies:] = y[source]
+    curves = [c @ evaluate_basis(s, g).T for c, s, g in zip(coefs, systems, grids)]
+    return build_design(curves, grids, systems), y, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=_awkward_samples())
+def test_fitters_never_return_nan(sample):
+    """Every fitter returns finite coefficients and intercept or raises;
+    the robust fit's weights stay in [1e-6, 1] and its cutoff is positive."""
+    design, y, h = sample
+    for method, fitter in _FITTERS.items():
+        try:
+            fit = fitter(design, y, h)
+        except (RfplsError, ValueError):
+            continue
+        assert np.isfinite(fit.beta_coefs).all(), method
+        assert np.isfinite(fit.intercept), method
+        if method == "rfpls":
+            weights = fit.robust_report.weights
+            assert ((weights >= 1e-6) & (weights <= 1.0)).all()
+            assert fit.robust_report.c > 0.0
