@@ -157,6 +157,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _domain(path: str, value) -> tuple[float, float]:
+    """A predictor domain, which ``save_model`` writes as two JSON numbers."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise InputError(f"{path}: a predictor domain must be two numbers [a, b], "
+                         f"got {value!r}")
+    return value[0], value[1]
+
+
 def _check_robust(path: str, rep: RobustReport, h: int) -> None:
     """Reject diagnostics that no robust fit can have produced."""
     w = rep.weights
@@ -202,8 +211,7 @@ def load_model(path: str) -> FittedSofr:
                          f"is not supported (expected {MODEL_SCHEMA_VERSION})")
     try:
         systems = tuple(
-            build_bspline_system((p["domain"][0], p["domain"][1]),
-                                 p["num_basis"], p["order"])
+            build_bspline_system(_domain(path, p["domain"]), p["num_basis"], p["order"])
             for p in doc["predictors"]
         )
         beta = np.asarray(doc["beta_coefs"], dtype=float)
@@ -242,5 +250,7 @@ def load_model(path: str) -> FittedSofr:
         if method != "rfpls":
             raise InputError(f"{path}: a {method} model has no robust block")
         _check_robust(path, report, h)
+    elif method == "rfpls":
+        raise InputError(f"{path}: an rfpls model needs its robust block")
     return FittedSofr(method=method, systems=systems, beta_coefs=beta,
                       intercept=intercept, h=h, robust_report=report)

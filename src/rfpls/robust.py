@@ -7,6 +7,7 @@ scalars come back as floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,36 @@ def _maybe_scalar(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
 
+# Private kernels of the robust loop.  Each computes exactly what the numpy
+# call it replaces computes, in the same order, without that call's
+# dispatch and NaN handling; so each requires finite input.
+# ``np.median`` averages the middle order statistics with ``np.mean``,
+# whose sum starts from +0.0: the ``+ 0.0`` below turns a -0.0 into +0.0
+# as that sum does, and changes no other value.
+
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a finite, nonempty 1-D array, bit for bit."""
+    k = a.size // 2
+    if a.size % 2:
+        return np.partition(a, k).item(k) + 0.0
+    part = np.partition(a, (k - 1, k))
+    return (part.item(k - 1) + part.item(k) + 0.0) / 2.0
+
+
+def _column_medians(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=0)`` of a finite 2-D array with rows, bit for bit."""
+    k = a.shape[0] // 2
+    if a.shape[0] % 2:
+        return np.partition(a, k, axis=0)[k] + 0.0
+    part = np.partition(a, (k - 1, k), axis=0)
+    return (part[k - 1] + part[k] + 0.0) / 2.0
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(d, axis=1)`` of a finite real 2-D array: its own formula."""
+    return np.sqrt(np.add.reduce(d * d, axis=1))
+
+
 def tukey_rho(u, c: float):
     """Bisquare loss: 1 - [1 - (u/c)^2]^3 for |u| <= c, else 1."""
     if c <= 0:
@@ -79,9 +110,13 @@ def bisquare_weight(e, c: float):
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
     arr, scalar = _as_array(e)
-    z = arr / c
-    out = np.where(np.abs(arr) <= c, (1.0 - z * z) ** 2, 0.0)
-    return _maybe_scalar(out, scalar)
+    return _maybe_scalar(_bisquare(arr, c), scalar)
+
+
+def _bisquare(e: np.ndarray, c: float) -> np.ndarray:
+    """``bisquare_weight`` of a float array without its checks; needs ``c > 0``."""
+    z = e / c
+    return np.where(np.abs(e) <= c, (1.0 - z * z) ** 2, 0.0)
 
 
 def hampel_f(x, consts: HampelConstants = DEFAULT_HAMPEL):
@@ -106,12 +141,10 @@ def hampel_weight(x, consts: HampelConstants = DEFAULT_HAMPEL):
     arr, scalar = _as_array(x)
     ax = np.abs(arr)
     c1, c2, c3 = consts.c1, consts.c2, consts.c3
-    out = np.ones_like(ax)
-    mid = (ax > c1) & (ax <= c2)
-    desc = (ax > c2) & (ax <= c3)
-    np.divide(c1, ax, out=out, where=mid)
-    np.divide(c1 * (c3 - ax), (c3 - c2) * ax, out=out, where=desc)
-    out[ax > c3] = 0.0
+    # c1 / c1 is exactly 1, and clamping to [c2, c3] keeps the descending
+    # piece off zero and makes it exactly 0 beyond c3; fmax maps NaN to 1.
+    d = np.minimum(np.maximum(ax, c2), c3)
+    out = np.where(ax > c2, c1 * (c3 - d) / ((c3 - c2) * d), c1 / np.fmax(ax, c1))
     return _maybe_scalar(out, scalar)
 
 
@@ -122,7 +155,7 @@ def mad_scale(e: np.ndarray) -> float:
         raise ValueError(f"need at least 2 values, got {arr.size}")
     if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
-    return float(np.median(np.abs(arr - np.median(arr))))
+    return _median(np.abs(arr - _median(arr)))
 
 
 def l1_median(points: np.ndarray) -> np.ndarray:
@@ -138,32 +171,40 @@ def l1_median(points: np.ndarray) -> np.ndarray:
         raise ValueError("need at least one point")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    center = np.median(pts, axis=0)
-    spread = float(np.linalg.norm(pts - center, axis=1).max())
+    center = _column_medians(pts)
+    spread = float(_row_norms(pts - center).max())
     if spread == 0.0:
         return center
     eps = 1e-12 * spread
+    # The C-ordered copy that ``pts[free]`` makes when every point is free,
+    # so the weighted sum adds its rows in the same order.
+    rows = np.ascontiguousarray(pts)
     m = center
     for _ in range(_L1_MAX_ITER):
         diff = pts - m
-        dist = np.linalg.norm(diff, axis=1)
-        on_point = dist < eps
-        free = ~on_point
-        if not free.any():
-            return m
-        inv = 1.0 / dist[free]
-        tpoint = (pts[free] * inv[:, None]).sum(axis=0) / inv.sum()
-        if on_point.any():
-            resultant = (diff[free] * inv[:, None]).sum(axis=0)
-            rnorm = float(np.linalg.norm(resultant))
-            multiplicity = float(on_point.sum())
-            if rnorm <= multiplicity:
-                return m
-            frac = multiplicity / rnorm
-            m_new = (1.0 - frac) * tpoint + frac * m
+        dist = _row_norms(diff)
+        if dist.min() >= eps:  # no point coincides with the iterate
+            inv = 1.0 / dist
+            m_new = (rows * inv[:, None]).sum(axis=0) / inv.sum()
         else:
-            m_new = tpoint
-        step = float(np.linalg.norm(m_new - m))
+            on_point = dist < eps
+            free = ~on_point
+            if not free.any():
+                return m
+            inv = 1.0 / dist[free]
+            tpoint = (pts[free] * inv[:, None]).sum(axis=0) / inv.sum()
+            if on_point.any():
+                resultant = (diff[free] * inv[:, None]).sum(axis=0)
+                rnorm = math.sqrt(resultant.dot(resultant))
+                multiplicity = float(on_point.sum())
+                if rnorm <= multiplicity:
+                    return m
+                frac = multiplicity / rnorm
+                m_new = (1.0 - frac) * tpoint + frac * m
+            else:
+                m_new = tpoint
+        move = m_new - m
+        step = math.sqrt(move.dot(move))
         m = m_new
         if step < _L1_TOL * spread:
             break
@@ -213,7 +254,7 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float,
         raise ValueError(f"c must be positive, got {c}")
     if not (np.isfinite(Z).all() and np.isfinite(y).all()):
         raise ValueError("scores and y must be finite")
-    wfn = weight_fn if weight_fn is not None else bisquare_weight
+    wfn = weight_fn if weight_fn is not None else _bisquare
 
     design = np.column_stack([np.ones(n), Z])
     theta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -240,8 +281,9 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float,
         if rank < h + 1 or not np.isfinite(theta_new).all():
             raise BreakdownError("weighted score design collapsed to rank "
                                  f"{rank} < {h + 1}")
-        move = float(np.linalg.norm(theta_new - theta))
-        base = float(np.linalg.norm(theta))
+        delta = theta_new - theta
+        move = math.sqrt(delta.dot(delta))
+        base = math.sqrt(theta.dot(theta))
         theta = theta_new
         if move <= _M_TOL * max(base, 1e-300):
             converged = True

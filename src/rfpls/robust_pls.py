@@ -11,13 +11,14 @@ Iteration stops when the response loadings stabilize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BreakdownError, DegenerateScaleError
-from .robust import hampel_weight, l1_median, mad_scale
-from .simpls import weighted_simpls_fit
+from .robust import _median, _row_norms, hampel_weight, l1_median, mad_scale
+from .simpls import _weighted_simpls, weighted_simpls_fit
 
 _WEIGHT_FLOOR = 1e-6
 # Relative change in the response loadings below which reweighting stops.
@@ -72,11 +73,11 @@ def initial_weights(X: np.ndarray, y: np.ndarray, weight_fn=None) -> np.ndarray:
     scale_y = mad_scale(y)
     if scale_y == 0.0:
         raise DegenerateScaleError("response MAD is zero; residual weights undefined")
-    w_resid = wfn(np.abs(y - np.median(y)) / scale_y)
+    w_resid = wfn(np.abs(y - _median(y)) / scale_y)
 
     center = l1_median(X)
-    dist = np.linalg.norm(X - center, axis=1)
-    scale_d = float(np.median(dist))
+    dist = _row_norms(X - center)
+    scale_d = _median(dist)
     if scale_d == 0.0:
         raise DegenerateScaleError("leverage distances have zero median; "
                                    "leverage weights undefined")
@@ -138,7 +139,12 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, max_iter: int = 100,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        fit = weighted_simpls_fit(X, y, weights, h)
+        # Pass 1 checks X, y and the start weights; later weights lie in
+        # [1e-6, 1] by construction, so later passes skip the checks.
+        if fit is None:
+            fit = weighted_simpls_fit(X, y, weights, h)
+        else:
+            fit = _weighted_simpls(X, y, weights, h)
         resid = y - (fit.gamma0 + fit.scores @ fit.gamma)
         scale_r = mad_scale(resid)
         if scale_r == 0.0:
@@ -146,8 +152,8 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, max_iter: int = 100,
         else:
             w_resid = np.asarray(wfn(np.abs(resid) / scale_r), dtype=float)
         center = l1_median(fit.scores)
-        dist = np.linalg.norm(fit.scores - center, axis=1)
-        scale_d = float(np.median(dist))
+        dist = _row_norms(fit.scores - center)
+        scale_d = _median(dist)
         if scale_d == 0.0:
             w_lev = _limit_weights(dist)
         else:
@@ -157,8 +163,9 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, max_iter: int = 100,
             raise BreakdownError("fewer than 2 observations kept positive weight")
         weights = np.clip(raw, _WEIGHT_FLOOR, 1.0)
         if gamma_prev is not None and gamma_prev.size == fit.gamma.size:
-            base = float(np.linalg.norm(gamma_prev))
-            move = float(np.linalg.norm(fit.gamma - gamma_prev))
+            delta = fit.gamma - gamma_prev
+            base = math.sqrt(gamma_prev.dot(gamma_prev))
+            move = math.sqrt(delta.dot(delta))
             if move <= _PRM_TOL * max(base, 1e-300):
                 converged = True
                 break

@@ -16,6 +16,7 @@ vectors regardless of its case weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,18 +64,20 @@ def _simpls_core(xc: np.ndarray, yc: np.ndarray, h: int) -> tuple[np.ndarray, np
     fewer than ``h`` columns when the cross-covariance is exhausted.
     """
     n, p = xc.shape
+    # 1-D norms are ``np.linalg.norm``'s own formula for a contiguous real
+    # vector, ``sqrt(v.dot(v))``, without its dispatch; inputs are finite.
     s = xc.T @ yc
-    s_ref = float(np.linalg.norm(s))
+    s_ref = math.sqrt(s.dot(s))
     w_cols: list[np.ndarray] = []
     t_cols: list[np.ndarray] = []
     v_basis: list[np.ndarray] = []
     t_ref = 0.0
     for _ in range(h):
-        if np.linalg.norm(s) <= _RANK_TOL * max(s_ref, 1e-300):
+        if math.sqrt(s.dot(s)) <= _RANK_TOL * max(s_ref, 1e-300):
             break
         r = s.copy()
         t = xc @ r
-        tn = float(np.linalg.norm(t))
+        tn = math.sqrt(t.dot(t))
         if tn <= _RANK_TOL * max(t_ref, 1e-300):
             break
         t_ref = max(t_ref, tn)
@@ -86,8 +89,8 @@ def _simpls_core(xc: np.ndarray, yc: np.ndarray, h: int) -> tuple[np.ndarray, np
         v = p_load.copy()
         for u in v_basis:
             v -= u * (u @ p_load)
-        vn = float(np.linalg.norm(v))
-        if vn <= _RANK_TOL * max(float(np.linalg.norm(p_load)), 1e-300):
+        vn = math.sqrt(v.dot(v))
+        if vn <= _RANK_TOL * max(math.sqrt(p_load.dot(p_load)), 1e-300):
             break
         v /= vn
         v_basis.append(v)
@@ -138,10 +141,19 @@ def weighted_simpls_fit(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
         raise ValueError("X, y and weights must be finite")
     if (w < 0).any():
         raise ValueError("weights must be nonnegative")
-    pos = w > 0
-    if pos.sum() < 2:
+    if (w > 0).sum() < 2:
         raise ValueError("fewer than 2 observations have positive weight")
+    return _weighted_simpls(X, y, w, h)
 
+
+def _weighted_simpls(X: np.ndarray, y: np.ndarray, w: np.ndarray, h: int) -> PLSFit:
+    """``weighted_simpls_fit`` without its checks.
+
+    Requires what that function checks: a finite float ``X`` of shape
+    ``(n, p)``, finite float ``y`` and ``w`` of shape ``(n,)``, ``w >= 0``
+    with at least two positive entries, and ``h >= 1``.
+    """
+    n, p = X.shape
     wsum = float(w.sum())
     x_center = (w @ X) / wsum
     y_center = float(w @ y) / wsum
@@ -154,9 +166,12 @@ def weighted_simpls_fit(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
     exhausted = exhausted or h_cap < h
     gamma = T.T @ yc
 
-    scores = np.empty((n, T.shape[1]))
-    scores[pos] = T[pos] / sq[pos, None]
-    if (~pos).any():
+    pos = w > 0
+    if pos.all():
+        scores = T / sq[:, None]
+    else:
+        scores = np.empty((n, T.shape[1]))
+        scores[pos] = T[pos] / sq[pos, None]
         scores[~pos] = (X[~pos] - x_center) @ W
     return PLSFit(W=W, scores=scores, gamma0=y_center, gamma=gamma,
                   x_center=x_center, y_center=y_center, h=T.shape[1],

@@ -228,6 +228,49 @@ class TestModelFiles:
         assert "rfpls: input error:" in capsys.readouterr().err
         assert not (tmp_path / "pred.csv").exists()
 
+    @pytest.mark.parametrize("mutate,pattern", [
+        (lambda d: d["predictors"][0].update(domain=["0", "1"]),
+         "domain must be two numbers"),
+        (lambda d: d["predictors"][1].update(domain=[0.0, 1.0, 7.0]),
+         "domain must be two numbers"),
+        (lambda d: d["predictors"][0].update(domain=[True, 1.0]),
+         "domain must be two numbers"),
+        (lambda d: d.update(robust=None), "rfpls model needs its robust block"),
+        (lambda d: d.pop("robust"), "rfpls model needs its robust block"),
+    ], ids=["domain-strings", "domain-three-entries", "domain-bool",
+            "robust-null", "robust-missing"])
+    def test_malformed_layout_or_missing_diagnostics_rejected(self, tmp_path, capsys,
+                                                              mutate, pattern):
+        """A predictor domain that is not two JSON numbers, or an rfpls
+        model without its robust block, fails to load; ``rfpls predict``
+        exits with code 2 and writes nothing."""
+        design, y = _fitted_pair(10)
+        path = tmp_path / "model.json"
+        save_model(path, fit_rfpls(design, y, 2))
+        assert load_model(path).robust_report is not None
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=pattern):
+            load_model(path)
+        rc = main(["predict", "--model", str(path), "--curves", "unused.csv",
+                   "--out", str(tmp_path / "pred.csv")])
+        assert rc == 2
+        assert pattern in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_integer_domains_still_load(self, tmp_path):
+        """JSON integers are numbers: a hand-written ``[0, 1]`` domain loads."""
+        design, y = _fitted_pair(11)
+        path = tmp_path / "model.json"
+        save_model(path, fit_fpls(design, y, 2))
+        doc = json.loads(path.read_text())
+        for p in doc["predictors"]:
+            p["domain"] = [int(v) for v in p["domain"]]
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert [s.domain for s in back.systems] == [(0.0, 1.0), (0.0, 2.0)]
+
     def test_non_json_and_missing_files(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("this is not json")
