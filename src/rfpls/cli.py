@@ -20,8 +20,8 @@ import numpy as np
 from .basis import build_bspline_system, build_design
 from .errors import ConfigError, InputError, NumericalError
 from .evaluation import select_num_components
-from .fileio import (load_model, read_curves, read_response, save_model,
-                     write_predictions)
+from .fileio import (_open_output, load_model, read_curves, read_response,
+                     save_model, write_predictions)
 from .regression import _FITTERS, predict
 from .simulation import ExperimentConfig, run_experiment
 
@@ -140,7 +140,7 @@ def cmd_cv(args) -> int:
     _print_cv_table(report)
     print(f"chosen_h={report.chosen_h}")
     if args.out:
-        with open(args.out, "w", newline="") as handle:
+        with _open_output(args.out, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["h", "trimmed_mspe"])
             for h, score in zip(report.grid, report.scores):

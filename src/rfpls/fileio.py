@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -43,6 +47,51 @@ def _parse_float(text: str, path: str, line: int, column: int) -> float:
     return value
 
 
+def _parse_cells(path: str, rows: list[tuple[int, list[str]]], start: int) -> np.ndarray:
+    """Cells ``start:`` of equally wide numbered rows as a 2-D array of finite floats.
+
+    The whole table goes through Python's ``float`` in one pass, so the
+    values are the bits a per-cell parse gives.  Only a table with a bad
+    cell is parsed again cell by cell, which names the first bad cell in
+    row-major order.
+    """
+    shape = (len(rows), len(rows[0][1]) - start)
+    cells = chain.from_iterable(row[start:] for _, row in rows)
+    try:
+        values = np.fromiter(map(float, cells), float, shape[0] * shape[1])
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        values = np.array([[_parse_float(cell, path, i, j + start + 1)
+                            for j, cell in enumerate(row[start:])] for i, row in rows])
+    return values.reshape(shape)
+
+
+@contextmanager
+def _open_output(path: str, newline: str | None = None):
+    """Open ``path`` to write UTF-8 text, overwriting an existing file in place.
+
+    ext4 (``auto_da_alloc``) writes a file back at close when it was
+    truncated to zero length and rewritten, which costs tens of
+    milliseconds per overwrite.  So the file is opened without
+    ``O_TRUNC``, and a regular file is cut at the end of what was written
+    when the block exits, also on an error; a cut above zero length does
+    not trigger the writeback.  It stays the same file: its mode, hard
+    links, write protection and symlinks behave as with ``open(path, "w")``.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    with open(fd, "w", encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        finally:
+            try:
+                handle.flush()
+            finally:
+                if regular:
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _read_rows(path: str) -> tuple[list[str], tuple[str, ...], list[tuple[int, list[str]]]]:
     """Header, sample ids and numbered data rows of a CSV table.
 
@@ -50,10 +99,12 @@ def _read_rows(path: str) -> tuple[list[str], tuple[str, ...], list[tuple[int, l
     the header, and the ids in the first cells must be unique.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise InputError(f"{path}: file is empty")
     header = rows[0]
@@ -79,17 +130,14 @@ def read_curves(path: str) -> CurveTable:
                          "least 2 grid points")
     if header[0].strip() != "id":
         raise InputError(f"{path}: first header cell must be 'id', got {header[0]!r}")
-    grid = np.array([_parse_float(cell, path, 1, j + 2)
-                     for j, cell in enumerate(header[1:])])
+    grid = _parse_cells(path, [(1, header)], 1)[0]
     if (np.diff(grid) <= 0).any():
         raise InputError(f"{path}: grid header values must be strictly increasing")
-    values = [[_parse_float(cell, path, i, j + 2) for j, cell in enumerate(row[1:])]
-              for i, row in body]
-    return CurveTable(sample_ids=ids, grid=grid, values=np.asarray(values, dtype=float))
+    return CurveTable(sample_ids=ids, grid=grid, values=_parse_cells(path, body, 1))
 
 
 def write_curves(path: str, table: CurveTable) -> None:
-    with open(path, "w", newline="") as handle:
+    with _open_output(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id"] + [repr(float(t)) for t in table.grid])
         for sid, row in zip(table.sample_ids, table.values):
@@ -101,12 +149,11 @@ def read_response(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     header, ids, body = _read_rows(path)
     if [cell.strip() for cell in header] != ["id", "y"]:
         raise InputError(f"{path}: header must be 'id,y', got {','.join(header)!r}")
-    y = [_parse_float(row[1], path, i, 2) for i, row in body]
-    return ids, np.asarray(y, dtype=float)
+    return ids, _parse_cells(path, body, 1).ravel()
 
 
 def write_response(path: str, ids, y: np.ndarray) -> None:
-    with open(path, "w", newline="") as handle:
+    with _open_output(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "y"])
         for sid, value in zip(ids, y):
@@ -114,7 +161,7 @@ def write_response(path: str, ids, y: np.ndarray) -> None:
 
 
 def write_predictions(path: str, ids, predictions: np.ndarray) -> None:
-    with open(path, "w", newline="") as handle:
+    with _open_output(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sample_id", "prediction"])
         for sid, value in zip(ids, predictions):
@@ -147,7 +194,7 @@ def save_model(path: str, fit: FittedSofr) -> None:
             "m_converged": rep.m_converged,
             "scale": rep.scale,
         }
-    with open(path, "w") as handle:
+    with _open_output(path) as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
 

@@ -31,6 +31,7 @@ from scipy.integrate import simpson
 from .basis import build_bspline_system, build_design
 from .errors import ConfigError, NumericalError
 from .evaluation import risee, select_num_components, trimmed_mspe, trimmed_r2
+from .fileio import _open_output
 from .regression import _FITTERS, coefficient_functions, predict_from_design
 
 GRID_POINTS = 200
@@ -314,7 +315,7 @@ class ExperimentResult:
 
     def write_csv(self, path: str) -> None:
         """Long-format rows; float fields use repr so bytes are reproducible."""
-        with open(path, "w", newline="") as handle:
+        with _open_output(path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["replication", "method", "level", "metric",
                              "target", "value"])
@@ -327,7 +328,7 @@ class ExperimentResult:
         cells: dict[tuple[str, float, str, str], list[float]] = {}
         for r in self.rows:
             cells.setdefault((r.method, r.level, r.metric, r.target), []).append(r.value)
-        with open(path, "w", newline="") as handle:
+        with _open_output(path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["method", "level", "metric", "target", "median",
                              "replications"])

@@ -131,6 +131,22 @@ class TestFitPredictRoundTrip:
         assert warnings == [f"rfpls: warning: {stage} stopped at its iteration cap (1) "
                             "without converging"]
 
+    def test_rerun_into_the_same_outputs_is_byte_identical(self, tmp_path, capsys):
+        """A re-run replaces its outputs with the same bytes, not appended or mixed ones."""
+        curves, response, _ = _make_tables(tmp_path, seed=5)
+        model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
+        runs = []
+        for _ in range(2):
+            assert main(["fit", "--method", "rfpls", "--curves", curves,
+                         "--response", response, "--num-basis", "8",
+                         "--components", "2", "--out", str(model)]) == 0
+            assert main(["predict", "--model", str(model), "--curves", curves,
+                         "--out", str(pred)]) == 0
+            runs.append((model.read_bytes(), pred.read_bytes()))
+        capsys.readouterr()
+        assert runs[0] == runs[1]
+        assert runs[0][1].startswith(b"sample_id,prediction\r\n")
+
 
 class TestCvCommand:
     def test_prints_scores_and_writes_csv(self, tmp_path, capsys):
@@ -237,6 +253,41 @@ class TestExitCodes:
                            "--curves", "whatever.csv",
                            "--out", str(tmp_path / "p.csv")],
                           2, "input", "no.json")
+
+    def test_predict_into_a_directory(self, tmp_path, capsys):
+        curves, response, _ = _make_tables(tmp_path)
+        model = tmp_path / "m.json"
+        assert main(["fit", "--method", "fpls", "--curves", curves,
+                     "--response", response, "--num-basis", "8",
+                     "--components", "1", "--out", str(model)]) == 0
+        capsys.readouterr()
+        target = tmp_path / "outdir"
+        target.mkdir()
+        (target / "keep.txt").write_text("kept\n")
+        self._assert_fail(capsys,
+                          ["predict", "--model", str(model), "--curves", curves,
+                           "--out", str(target)],
+                          2, "input", "outdir")
+        assert target.is_dir()
+        assert (target / "keep.txt").read_text() == "kept\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_predict_to_a_descriptor_path(self, tmp_path, capsys):
+        """``--out /dev/stdout`` with stdout sent to a file fills that file."""
+        curves, response, _ = _make_tables(tmp_path)
+        model, direct = tmp_path / "m.json", tmp_path / "direct.csv"
+        assert main(["fit", "--method", "fpls", "--curves", curves,
+                     "--response", response, "--num-basis", "8",
+                     "--components", "1", "--out", str(model)]) == 0
+        assert main(["predict", "--model", str(model), "--curves", curves,
+                     "--out", str(direct)]) == 0
+        redirected = tmp_path / "redirected.csv"
+        redirected.write_text("an older and longer file\n" * 50)
+        with open(redirected, "r+b") as handle:
+            assert main(["predict", "--model", str(model), "--curves", curves,
+                         "--out", f"/proc/self/fd/{handle.fileno()}"]) == 0
+        capsys.readouterr()
+        assert redirected.read_bytes() == direct.read_bytes()
 
     def test_wrong_predictor_count(self, tmp_path, capsys):
         curves, response, _ = _make_tables(tmp_path)

@@ -1,10 +1,17 @@
-"""CSV table formats and the JSON model file."""
+"""CSV table formats, output files and the JSON model file."""
 
+import ast
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rfpls
+from rfpls import fileio
 from rfpls.basis import build_bspline_system, build_design, evaluate_basis
 from rfpls.cli import main
 from rfpls.errors import InputError
@@ -62,6 +69,23 @@ class TestCurveTables:
         with pytest.raises(InputError, match="nope.csv"):
             read_curves(str(tmp_path / "nope.csv"))
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        """Spreadsheet exports often start with a UTF-8 byte-order mark."""
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,0.0,0.5,1.0\nu,1,2,3\nv,4,5,6\nw,7,8,9\n")
+        table = read_curves(path)
+        assert table.sample_ids == ("u", "v", "w")
+        np.testing.assert_array_equal(table.grid, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(table.values, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+
+
+    def test_input_that_is_not_utf8_is_named(self, tmp_path):
+        """CSV input is read as UTF-8; a Latin-1 export fails with its path."""
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("id,0.0,1.0\ncaf\u00e9,1,2\n".encode("latin-1"))
+        with pytest.raises(InputError, match=r"latin1\.csv: not UTF-8 text"):
+            read_curves(path)
+
 
 class TestResponseTables:
     def test_round_trip(self, tmp_path):
@@ -71,6 +95,13 @@ class TestResponseTables:
         ids, back = read_response(path)
         assert ids == ("a", "b", "c")
         np.testing.assert_array_equal(back, y)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,y\na,0.25\nb,-1.75\n")
+        ids, y = read_response(path)
+        assert ids == ("a", "b")
+        np.testing.assert_array_equal(y, [0.25, -1.75])
 
     @pytest.mark.parametrize("text,pattern", [
         ("id,value\na,1\n", "header must be 'id,y'"),
@@ -89,6 +120,91 @@ class TestResponseTables:
         path = tmp_path / "pred.csv"
         write_predictions(path, ("s1", "s2"), np.array([1.5, -0.5]))
         assert path.read_text() == "sample_id,prediction\ns1,1.5\ns2,-0.5\n"
+
+
+def _per_cell(path, cells):
+    """Reference parse of a table's numeric cells, header row first, one
+    ``float`` per cell: the values, or the message naming the first bad cell."""
+    values = []
+    for line, row in enumerate(cells, start=1):
+        values.append([])
+        for column, text in enumerate(row, start=2):
+            try:
+                value = float(text)
+            except ValueError:
+                return f"{path}: line {line}, column {column}: {text!r} is not a number"
+            if not np.isfinite(value):
+                return f"{path}: line {line}, column {column}: {text!r} is not finite"
+            values[-1].append(value)
+    return np.array(values, dtype=float)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_CELLS = st.one_of(
+    _FINITE.map(repr),
+    st.floats(-1e300, 1e300).map("{:.3e}".format),
+    st.integers(-10**20, 10**20).map(str),
+    st.integers(0, 10**12).map("+{:_}".format),
+    _FINITE.map(lambda v: f"  {v!r} "),
+    _FINITE.map(lambda v: "+" + repr(abs(v))),
+    st.integers(-2**52 + 1, 2**52 - 1).map(lambda k: repr(k * 5e-324)),
+)
+_GRID_FORMS = st.sampled_from([str, "{:.3e}".format, " +{} ".format, "{}.0".format,
+                               "{:_}".format])
+_BAD_CELLS = st.sampled_from(["nan", "NaN", "inf", "-inf", "+Infinity", "1e400",
+                              "-1e999", "oops", "", " ", "1.2.3", "0x10", "1__0", "--1"])
+
+
+@st.composite
+def _cell_grids(draw):
+    """Header and body cells of a curve table: a grid of 2-6 points, 1-6 rows."""
+    width = draw(st.integers(2, 6))
+    header = [draw(_GRID_FORMS)(10 * j) for j in range(width)]
+    body = [[draw(_CELLS) for _ in range(width)] for _ in range(draw(st.integers(1, 6)))]
+    return [header] + body
+
+
+def _write_table(path, cells):
+    lines = [",".join(["id"] + cells[0])]
+    lines += [",".join([f"s{i}"] + row) for i, row in enumerate(cells[1:])]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestBulkParsing:
+    """Bulk parsing gives the values and the errors of a per-cell parse."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cell_grids())
+    def test_values_equal_per_cell_floats_bit_for_bit(self, tmp_path_factory, cells):
+        path = tmp_path_factory.mktemp("table") / "c.csv"
+        _write_table(path, cells)
+        expected = _per_cell(path, cells)
+        table = read_curves(path)
+        assert table.grid.tobytes() == expected[0].tobytes()
+        assert table.values.tobytes() == expected[1:].tobytes()
+
+        response = path.with_name("y.csv")
+        response.write_text("id,y\n" + "".join(f"s{i},{row[0]}\n"
+                                               for i, row in enumerate(cells[1:])))
+        _, y = read_response(response)
+        assert y.tobytes() == expected[1:, 0].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cell_grids(), st.data())
+    def test_first_bad_cell_is_named(self, tmp_path_factory, cells, data):
+        width = len(cells[0])
+        flat = data.draw(st.integers(0, len(cells) * width - 1))
+        cells[flat // width][flat % width] = data.draw(_BAD_CELLS)
+        if flat + 1 < len(cells) * width and data.draw(st.booleans()):
+            later = data.draw(st.integers(flat + 1, len(cells) * width - 1))
+            cells[later // width][later % width] = data.draw(_BAD_CELLS)
+        path = tmp_path_factory.mktemp("table") / "c.csv"
+        _write_table(path, cells)
+        message = _per_cell(path, cells)
+        assert f"line {flat // width + 1}, column {flat % width + 2}:" in message
+        with pytest.raises(InputError) as info:
+            read_curves(path)
+        assert str(info.value) == message
 
 
 def _fitted_pair(seed=4, n=40):
@@ -278,3 +394,152 @@ class TestModelFiles:
             load_model(path)
         with pytest.raises(InputError):
             load_model(str(tmp_path / "absent.json"))
+
+
+_NEW_BYTES = b"sample_id,prediction\r\ns1,1.5\r\n"
+
+
+def _write_one_prediction(path):
+    write_predictions(path, ("s1",), np.array([1.5]))
+
+
+class TestOutputFiles:
+    def test_shorter_output_replaces_a_longer_file(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("sample_id,prediction\n" + "s0,0.25\n" * 1000)
+        _write_one_prediction(path)
+        assert path.read_bytes() == _NEW_BYTES
+
+    def test_existing_file_is_overwritten_in_place(self, tmp_path):
+        """The same file takes the new bytes: its mode and hard links are kept."""
+        path = tmp_path / "pred.csv"
+        path.write_text("an older and longer file\n" * 50)
+        path.chmod(0o600)
+        os.link(path, tmp_path / "other.csv")
+        inode = path.stat().st_ino
+        _write_one_prediction(path)
+        assert path.read_bytes() == _NEW_BYTES
+        assert (tmp_path / "other.csv").read_bytes() == _NEW_BYTES
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mode & 0o777 == 0o600
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_write_protected_file_is_refused(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("old\n")
+        path.chmod(0o444)
+        with pytest.raises(PermissionError):
+            _write_one_prediction(path)
+        assert path.read_text() == "old\n"
+
+    def test_symlink_is_kept_and_its_target_rewritten(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("an older and longer file\n" * 50)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        _write_one_prediction(link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == _NEW_BYTES
+
+    def test_file_is_cut_at_its_final_length(self, tmp_path, monkeypatch):
+        """Never cut to zero: on ext4 that is what forces a writeback at close."""
+        path = tmp_path / "pred.csv"
+        path.write_text("an older and longer file\n" * 50)
+        cuts, real_ftruncate = [], os.ftruncate
+
+        def ftruncate(fd, length):
+            cuts.append(length)
+            real_ftruncate(fd, length)
+
+        monkeypatch.setattr(fileio.os, "ftruncate", ftruncate)
+        _write_one_prediction(path)
+        assert cuts == [len(_NEW_BYTES)]
+
+    def test_error_while_writing_leaves_no_old_bytes(self, tmp_path):
+        """A failed write leaves what was written, as a truncating open did."""
+        path = tmp_path / "pred.csv"
+        path.write_text("an older and longer file\n" * 50)
+        with pytest.raises(RuntimeError):
+            with fileio._open_output(path) as handle:
+                handle.write("partial")
+                raise RuntimeError
+        assert path.read_text() == "partial"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_descriptor_path_writes_the_open_file(self, tmp_path):
+        """``--out /dev/stdout`` with stdout sent to a file writes that file."""
+        path = tmp_path / "redirected.csv"
+        with open(path, "wb") as handle:
+            _write_one_prediction(f"/proc/self/fd/{handle.fileno()}")
+        assert path.read_bytes() == _NEW_BYTES
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            _write_one_prediction(fifo)
+            assert os.read(reader, 4096) == _NEW_BYTES
+        finally:
+            os.close(reader)
+        assert fifo.is_fifo()
+
+    def test_output_is_utf8_without_byte_order_mark(self, tmp_path):
+        path = tmp_path / "y.csv"
+        write_response(path, ("\u00e9",), np.array([2.0]))
+        assert path.read_bytes() == "id,y\r\n\u00e9,2.0\r\n".encode("utf-8")
+
+
+def _write_opens(source: str) -> list[str]:
+    """Names of the functions in ``source`` that open a file for writing."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        scope = ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            os_open = (name == "open" and isinstance(func, ast.Attribute)
+                       and getattr(func.value, "id", None) == "os")
+            if os_open or name in ("write_text", "write_bytes", "truncate",
+                                   "ftruncate"):
+                found.append(self.scope[-1])
+            elif name in ("open", "fdopen"):
+                position = 1 if isinstance(func, ast.Name) else 0
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            node.args[position] if len(node.args) > position else None)
+                if mode is not None and not (isinstance(mode, ast.Constant)
+                                             and not set(str(mode.value)) & set("wax+")):
+                    found.append(self.scope[-1])
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return found
+
+
+class TestOutputOwner:
+    def test_scan_finds_writing_opens(self):
+        source = ("import os\n"
+                  "def a(p): open(p)\n"
+                  "def b(p): open(p, newline='')\n"
+                  "def c(p): open(p, 'w')\n"
+                  "def d(p, m): open(p, mode=m)\n"
+                  "def e(p): p.open('a')\n"
+                  "def f(p): p.write_text('x')\n"
+                  "def g(p): os.open(p, os.O_WRONLY)\n"
+                  "def h(p): open(p, 'rb')\n"
+                  "def i(fd): os.ftruncate(fd, 0)\n")
+        assert _write_opens(source) == ["c", "d", "e", "f", "g", "i"]
+
+    def test_only_the_output_helper_opens_files_for_writing(self):
+        """Every output file of the package goes through ``fileio._open_output``."""
+        package = Path(rfpls.__file__).parent
+        found = {(source.name, name) for source in sorted(package.glob("*.py"))
+                 for name in _write_opens(source.read_text())}
+        assert found == {("fileio.py", "_open_output")}
