@@ -32,15 +32,18 @@ class BasisSystem:
         Number of basis functions ``K``.
     order : int
         Spline order (degree + 1); 4 gives cubic splines.
-    knots : ndarray
-        Full knot vector of length ``K + order`` with ``order``-fold
-        repeated boundary knots.
     """
 
     domain: tuple[float, float]
     num_basis: int
     order: int
-    knots: np.ndarray
+
+    @property
+    def knots(self) -> np.ndarray:
+        """Knots: ``order``-fold boundary knots around equispaced interior ones."""
+        a, b = self.domain
+        interior = np.linspace(a, b, self.num_basis - self.order + 2)[1:-1]
+        return np.concatenate([np.full(self.order, a), interior, np.full(self.order, b)])
 
 
 def build_bspline_system(domain: tuple[float, float], num_basis: int,
@@ -67,9 +70,7 @@ def build_bspline_system(domain: tuple[float, float], num_basis: int,
         raise ValueError(f"order must be at least 1, got {order}")
     if num_basis < order:
         raise ValueError(f"num_basis must be at least order={order}, got {num_basis}")
-    interior = np.linspace(a, b, num_basis - order + 2)[1:-1]
-    knots = np.concatenate([np.full(order, a), interior, np.full(order, b)])
-    return BasisSystem(domain=(a, b), num_basis=num_basis, order=order, knots=knots)
+    return BasisSystem(domain=(a, b), num_basis=num_basis, order=order)
 
 
 def evaluate_basis(system: BasisSystem, points: np.ndarray) -> np.ndarray:
@@ -218,24 +219,15 @@ class _Geometry(NamedTuple):
     Psi_inv_half: np.ndarray
 
 
-def _geometry(systems: Sequence[BasisSystem]) -> _Geometry:
-    """Gram geometry of the stacked bases, computed once per basis layout.
-
-    The layout is keyed by value, knots included, so the fresh but equal
-    ``BasisSystem`` objects of every replication, design and loaded model
-    share one read-only set of matrices.
-    """
-    return _layout_geometry(tuple(
-        (tuple(float(v) for v in s.domain), int(s.num_basis), int(s.order),
-         tuple(np.asarray(s.knots, dtype=float).tolist()))
-        for s in systems))
-
-
 # A run uses one or two layouts; the bound caps what a long session keeps.
 @lru_cache(maxsize=16)
-def _layout_geometry(layout) -> _Geometry:
-    grams = [gram_matrix(BasisSystem(domain, num_basis, order, np.array(knots)))
-             for domain, num_basis, order, knots in layout]
+def _geometry(systems: tuple[BasisSystem, ...]) -> _Geometry:
+    """Gram geometry of the stacked bases, computed once per basis layout.
+
+    Equal ``BasisSystem`` values key one entry, so the fresh systems of every
+    replication, design and loaded model share one read-only set of matrices.
+    """
+    grams = [gram_matrix(s) for s in systems]
     geometry = _Geometry(block_diag(*grams),
                          block_diag(*[sqrt_gram(g) for g in grams]),
                          block_diag(*[inv_sqrt_gram(g) for g in grams]))
@@ -312,5 +304,5 @@ def build_design(curves: Sequence[np.ndarray], grids: Sequence[np.ndarray],
         One basis per predictor.
     """
     D = _smooth_stack(curves, grids, systems)
-    A = D @ _geometry(systems).Psi_half.T
+    A = D @ _geometry(tuple(systems)).Psi_half.T
     return MultiFunctionalDesign(systems=tuple(systems), D=D, A=A)

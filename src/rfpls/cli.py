@@ -152,10 +152,12 @@ def cmd_cv(args) -> int:
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Parse an INI experiment file with a single [experiment] section."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=path)

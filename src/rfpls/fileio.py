@@ -12,14 +12,17 @@ from __future__ import annotations
 import csv
 import json
 import os
+import reprlib
 import stat
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import build_bspline_system
+from .basis import BasisSystem
 from .errors import InputError
 from .regression import _FITTERS, FittedSofr, RobustReport
 
@@ -168,74 +171,104 @@ def write_predictions(path: str, ids, predictions: np.ndarray) -> None:
             writer.writerow([sid, repr(float(value))])
 
 
+class _Type(NamedTuple):
+    """A JSON type: its name in messages, its test, and the conversion on load."""
+
+    name: str
+    check: Callable[[object], bool]
+    load: Callable = lambda value: value
+
+
+def _finite(value) -> bool:
+    """A JSON number within the float range: not NaN, infinite or a huge integer."""
+    return abs(value) <= sys.float_info.max
+
+
+# JSON numbers decode to exactly int or float, so ``true`` is not a number.
+_NUMBER = _Type("a number", lambda v: type(v) in (int, float), float)
+_COUNT = _Type("an integer", lambda v: type(v) is int)
+_BOOLEAN = _Type("true or false", lambda v: type(v) is bool)
+_STRING = _Type("a string", lambda v: type(v) is str)
+_NUMBERS = _Type("a list of numbers", lambda v: type(v) is list and all(map(_NUMBER.check, v)),
+                 lambda v: np.array(v, dtype=float))
+_INTERVAL = _Type("two numbers [a, b]", lambda v: _NUMBERS.check(v) and len(v) == 2, tuple)
+_OBJECTS = _Type("a list of objects", lambda v: type(v) is list and all(type(p) is dict for p in v))
+_OBJECT_OR_NULL = _Type("an object or null", lambda v: v is None or type(v) is dict)
+
+
+class _Key(NamedTuple):
+    """A key of a model-file block, the rule its value meets beyond its type
+    and the message if not, and the attribute that holds it if not ``name``."""
+
+    name: str
+    type: _Type
+    ok: Callable[[object], bool] = lambda value: True
+    rule: str = ""
+    attr: str | None = None
+
+
+_must = "{{key}} must be {}, got {{value}}".format
+
+# The model file, declared once: ``save_model`` writes these keys in this order and
+# ``load_model`` checks every value before it uses any.  The predictor and robust
+# blocks hold the fields of ``BasisSystem`` and ``RobustReport``.
+_PREDICTOR = (
+    _Key("domain", _INTERVAL, lambda v: all(map(_finite, v)) and v[0] < v[1],
+         _must("finite with a < b")),
+    _Key("num_basis", _COUNT, lambda v: v >= 1, _must("at least 1")),
+    _Key("order", _COUNT, lambda v: v >= 1, _must("at least 1")),
+)
+_ROBUST = (
+    _Key("weights", _NUMBERS, lambda v: all(_finite(w) and 0 <= w <= 1 for w in v),
+         _must("finite and in [0, 1]")),
+    _Key("c", _NUMBER, lambda v: _finite(v) and v > 0, _must("finite and positive")),
+    _Key("prm_iterations", _COUNT, lambda v: v >= 1, _must("at least 1")),
+    _Key("prm_converged", _BOOLEAN),
+    _Key("m_iterations", _COUNT, lambda v: v >= 1, _must("at least 1")),
+    _Key("m_converged", _BOOLEAN),
+    _Key("scale", _NUMBER, lambda v: _finite(v) and v >= 0, _must("finite and nonnegative")),
+)
+_MODEL = (
+    _Key("method", _STRING, _FITTERS.__contains__, "unknown {key} {value}"),
+    _Key("h", _COUNT, lambda v: v >= 1, _must("at least 1")),
+    _Key("intercept", _NUMBER, _finite, _must("finite")),
+    _Key("predictors", _OBJECTS, attr="systems"),
+    _Key("beta_coefs", _NUMBERS, lambda v: all(map(_finite, v)), _must("finite")),
+    _Key("robust", _OBJECT_OR_NULL, attr="robust_report"),
+)
+_VERSION = _Key("schema_version", _COUNT, lambda v: v == MODEL_SCHEMA_VERSION,
+                f"unsupported model schema version {{value}} (expected {MODEL_SCHEMA_VERSION})")
+_BLOCKS = {FittedSofr: _MODEL, BasisSystem: _PREDICTOR, RobustReport: _ROBUST}
+
+
+def _to_json(obj):
+    """The JSON form of a model, of one of its blocks or of an array in one."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return {key.name: getattr(obj, key.attr or key.name) for key in _BLOCKS[type(obj)]}
+
+
+def _read(path: str, where: str, block: dict, keys=_MODEL) -> dict:
+    """The checked values of one block, converted from JSON, by attribute name."""
+    values = {}
+    for key in keys:
+        name = where + key.name
+        if key.name not in block:
+            raise InputError(f"{path}: malformed model file: {name} is missing")
+        value = block[key.name]
+        for test, rule in ((key.type.check, _must(key.type.name)), (key.ok, key.rule)):
+            if not test(value):
+                raise InputError(f"{path}: " + rule.format(key=name, value=reprlib.repr(value)))
+        values[key.attr or key.name] = key.type.load(value)
+    return values
+
+
 def save_model(path: str, fit: FittedSofr) -> None:
     """Serialize a fitted model (basis layout, coefficients, diagnostics)."""
-    doc = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "method": fit.method,
-        "h": fit.h,
-        "intercept": fit.intercept,
-        "predictors": [
-            {"domain": [s.domain[0], s.domain[1]], "num_basis": s.num_basis,
-             "order": s.order}
-            for s in fit.systems
-        ],
-        "beta_coefs": [float(v) for v in fit.beta_coefs],
-        "robust": None,
-    }
-    if fit.robust_report is not None:
-        rep = fit.robust_report
-        doc["robust"] = {
-            "weights": [float(w) for w in rep.weights],
-            "c": rep.c,
-            "prm_iterations": rep.prm_iterations,
-            "prm_converged": rep.prm_converged,
-            "m_iterations": rep.m_iterations,
-            "m_converged": rep.m_converged,
-            "scale": rep.scale,
-        }
+    doc = {"schema_version": MODEL_SCHEMA_VERSION, **_to_json(fit)}
     with _open_output(path) as handle:
-        json.dump(doc, handle, indent=2)
+        json.dump(doc, handle, indent=2, default=_to_json)
         handle.write("\n")
-
-
-def _is_int(value) -> bool:
-    """True for a JSON integer; ``true`` and ``2.0`` are not integers."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _domain(path: str, value) -> tuple[float, float]:
-    """A predictor domain, which ``save_model`` writes as two JSON numbers."""
-    if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        raise InputError(f"{path}: a predictor domain must be two numbers [a, b], "
-                         f"got {value!r}")
-    return value[0], value[1]
-
-
-def _check_robust(path: str, rep: RobustReport, h: int) -> None:
-    """Reject diagnostics that no robust fit can have produced."""
-    w = rep.weights
-    if w.ndim != 1 or w.size < h + 2:
-        raise InputError(f"{path}: robust weights need one entry per training "
-                         f"sample, at least h + 2 = {h + 2}; got shape {w.shape}")
-    if not (np.isfinite(w).all() and ((w >= 0.0) & (w <= 1.0)).all()):
-        raise InputError(f"{path}: robust weights must be finite and in [0, 1]")
-    if not (np.isfinite(rep.c) and rep.c > 0.0):
-        raise InputError(f"{path}: robust c must be finite and positive, got {rep.c}")
-    if not (np.isfinite(rep.scale) and rep.scale >= 0.0):
-        raise InputError(f"{path}: robust scale must be finite and nonnegative, "
-                         f"got {rep.scale}")
-    for name in ("prm_iterations", "m_iterations"):
-        count = getattr(rep, name)
-        if not _is_int(count) or count < 1:
-            raise InputError(f"{path}: robust {name} must be an integer of at "
-                             f"least 1, got {count!r}")
-    for name in ("prm_converged", "m_converged"):
-        flag = getattr(rep, name)
-        if not isinstance(flag, bool):
-            raise InputError(f"{path}: robust {name} must be true or false, "
-                             f"got {flag!r}")
 
 
 def load_model(path: str) -> FittedSofr:
@@ -245,59 +278,34 @@ def load_model(path: str) -> FittedSofr:
     not stored: predictions derive it from the basis layout.
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise InputError(f"{path}: not a model file ({exc})") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise InputError(f"{path}: not a model file (missing schema_version)")
-    if doc["schema_version"] != MODEL_SCHEMA_VERSION:
-        raise InputError(f"{path}: model schema version {doc['schema_version']} "
-                         f"is not supported (expected {MODEL_SCHEMA_VERSION})")
-    try:
-        systems = tuple(
-            build_bspline_system(_domain(path, p["domain"]), p["num_basis"], p["order"])
-            for p in doc["predictors"]
-        )
-        beta = np.asarray(doc["beta_coefs"], dtype=float)
-        report = None
-        if doc.get("robust") is not None:
-            rb = doc["robust"]
-            report = RobustReport(weights=np.asarray(rb["weights"], dtype=float),
-                                  c=float(rb["c"]),
-                                  prm_iterations=rb["prm_iterations"],
-                                  prm_converged=rb["prm_converged"],
-                                  m_iterations=rb["m_iterations"],
-                                  m_converged=rb["m_converged"],
-                                  scale=float(rb["scale"]))
-        method = doc["method"]
-        h = doc["h"]
-        intercept = float(doc["intercept"])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"{path}: malformed model file ({exc!r})") from None
-    if not isinstance(method, str) or method not in _FITTERS:
-        raise InputError(f"{path}: unknown method {method!r}")
-    total = sum(s.num_basis for s in systems)
-    if beta.size != total:
-        raise InputError(f"{path}: coefficient length {beta.size} does not match "
-                         f"the basis layout ({total})")
-    if not np.isfinite(beta).all():
-        raise InputError(f"{path}: beta_coefs must be finite")
-    if not np.isfinite(intercept):
-        raise InputError(f"{path}: intercept must be finite, got {intercept}")
-    if not _is_int(h):
-        raise InputError(f"{path}: h must be an integer, got {h!r}")
-    if h < 1:
-        raise InputError(f"{path}: h must be at least 1, got {h}")
+    _read(path, "", doc, (_VERSION,))
+    top = _read(path, "", {"robust": None, **doc})
+    systems = tuple(BasisSystem(**_read(path, f"predictors[{i}].", p, _PREDICTOR))
+                    for i, p in enumerate(top["systems"]))
+    rb = top["robust_report"]
+    report = None if rb is None else RobustReport(**_read(path, "robust.", rb, _ROBUST))
+    method, h, total = top["method"], top["h"], sum(s.num_basis for s in systems)
+    if top["beta_coefs"].size != total:
+        raise InputError(f"{path}: coefficient length {top['beta_coefs'].size} does not "
+                         f"match the basis layout ({total})")
+    for i, s in enumerate(systems):
+        if s.num_basis < s.order:
+            raise InputError(f"{path}: predictors[{i}].num_basis must be at least its "
+                             f"order {s.order}, got {s.num_basis}")
     if h > total:
         raise InputError(f"{path}: h = {h} exceeds the {total} basis functions")
-    if report is not None:
-        if method != "rfpls":
-            raise InputError(f"{path}: a {method} model has no robust block")
-        _check_robust(path, report, h)
-    elif method == "rfpls":
-        raise InputError(f"{path}: an rfpls model needs its robust block")
-    return FittedSofr(method=method, systems=systems, beta_coefs=beta,
-                      intercept=intercept, h=h, robust_report=report)
+    if (report is None) == (method == "rfpls"):
+        raise InputError(f"{path}: an rfpls model needs its robust block" if report is None
+                         else f"{path}: a {method} model has no robust block")
+    if report is not None and report.weights.size < h + 2:
+        raise InputError(f"{path}: robust weights need one entry per training sample, "
+                         f"at least h + 2 = {h + 2}; got {report.weights.size}")
+    return FittedSofr(**{**top, "systems": systems, "robust_report": report})

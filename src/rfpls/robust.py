@@ -193,16 +193,13 @@ def l1_median(points: np.ndarray) -> np.ndarray:
                 return m
             inv = 1.0 / dist[free]
             tpoint = (pts[free] * inv[:, None]).sum(axis=0) / inv.sum()
-            if on_point.any():
-                resultant = (diff[free] * inv[:, None]).sum(axis=0)
-                rnorm = math.sqrt(resultant.dot(resultant))
-                multiplicity = float(on_point.sum())
-                if rnorm <= multiplicity:
-                    return m
-                frac = multiplicity / rnorm
-                m_new = (1.0 - frac) * tpoint + frac * m
-            else:
-                m_new = tpoint
+            resultant = (diff[free] * inv[:, None]).sum(axis=0)
+            rnorm = math.sqrt(resultant.dot(resultant))
+            multiplicity = float(on_point.sum())
+            if rnorm <= multiplicity:
+                return m
+            frac = multiplicity / rnorm
+            m_new = (1.0 - frac) * tpoint + frac * m
         move = m_new - m
         step = math.sqrt(move.dot(move))
         m = m_new

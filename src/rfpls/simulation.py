@@ -262,7 +262,7 @@ def _run_replication(config: ExperimentConfig,
 def _openblas_libraries() -> list[ctypes.CDLL]:
     """Every OpenBLAS shared library mapped into this process."""
     try:
-        with open("/proc/self/maps") as handle:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as handle:
             paths = sorted({line.split()[-1] for line in handle
                             if "openblas" in line.lower() and "/" in line})
     except OSError:

@@ -47,6 +47,16 @@ class TestBuildSystem:
         np.testing.assert_allclose(system.knots[-4:], 1.0)
         np.testing.assert_allclose(system.knots[4:-4], [0.25, 0.5, 0.75])
 
+    def test_systems_are_values(self):
+        """Equal layouts compare equal and hash alike; the knots derive from
+        the three fields with the formula the system was built with."""
+        a, b = build_bspline_system((0, 1), 8), build_bspline_system((0.0, 1.0), 8, order=4)
+        assert a == b and hash(a) == hash(b)
+        assert a != build_bspline_system((0.0, 1.0), 8, order=3)
+        assert len({a, b, build_bspline_system((0.0, 2.0), 8)}) == 2
+        want = np.concatenate([np.zeros(4), np.linspace(0.0, 1.0, 6)[1:-1], np.ones(4)])
+        assert a.knots.tobytes() == want.tobytes()
+
     def test_invalid_arguments(self):
         """Bad domain, order or basis count are rejected."""
         with pytest.raises(ValueError):

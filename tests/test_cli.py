@@ -216,6 +216,15 @@ class TestSimulateCommand:
         with pytest.raises(ConfigError, match="invalid value for replications"):
             load_experiment_config(str(bad_value))
 
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        """Editors on Windows often save INI files with a UTF-8 byte-order mark."""
+        path = Path(self._config(tmp_path, methods="fpls, rfpls"))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_experiment_config(str(path)).methods == ("fpls", "rfpls")
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        capsys.readouterr()
+        assert rc == 0
+
 
 class TestExitCodes:
     def _assert_fail(self, capsys, argv, code, kind, fragment):
@@ -331,6 +340,15 @@ class TestExitCodes:
                           ["simulate", "--config", str(config),
                            "--out", str(tmp_path / "r.csv")],
                           4, "config", "unknown config keys")
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "latin1.ini"
+        config.write_bytes("[experiment]\n# caf\u00e9\nreplications = 1\n".encode("latin-1"))
+        self._assert_fail(capsys,
+                          ["simulate", "--config", str(config),
+                           "--out", str(tmp_path / "r.csv")],
+                          2, "input", "latin1.ini: not UTF-8 text")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_zero_workers_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "ok.ini"

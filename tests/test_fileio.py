@@ -3,6 +3,8 @@
 import ast
 import json
 import os
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +14,14 @@ from hypothesis import strategies as st
 
 import rfpls
 from rfpls import fileio
-from rfpls.basis import build_bspline_system, build_design, evaluate_basis
+from rfpls.basis import BasisSystem, build_bspline_system, build_design, evaluate_basis
 from rfpls.cli import main
 from rfpls.errors import InputError
 from rfpls.fileio import (CurveTable, load_model, read_curves, read_response,
                           save_model, write_curves, write_predictions,
                           write_response)
-from rfpls.regression import fit_fpls, fit_rfpls, predict_from_design
+from rfpls.regression import (_FITTERS, FittedSofr, RobustReport, fit_fpls, fit_rfpls,
+                              predict_from_design)
 
 
 class TestCurveTables:
@@ -396,6 +399,135 @@ class TestModelFiles:
             load_model(str(tmp_path / "absent.json"))
 
 
+def _assert_fields_equal(back: FittedSofr, fit: FittedSofr) -> None:
+    """Every field of two fits is equal, arrays bit for bit."""
+    for field in fields(FittedSofr):
+        got, want = getattr(back, field.name), getattr(fit, field.name)
+        if field.name == "beta_coefs":
+            assert got.tobytes() == want.tobytes()
+        elif field.name == "robust_report" and want is not None:
+            for item in fields(RobustReport):
+                a, b = getattr(got, item.name), getattr(want, item.name)
+                assert (a.tobytes() == b.tobytes() if item.name == "weights"
+                        else (a, type(a)) == (b, type(b))), item.name
+        else:
+            assert got == want, field.name
+
+
+@st.composite
+def _small_fits(draw):
+    """A fit by one of the three methods on a small random design of 1-2 predictors."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(16, 30))
+    rng = np.random.default_rng(seed)
+    systems = [build_bspline_system((0.0, draw(st.sampled_from([1.0, 2.5]))),
+                                    draw(st.integers(4, 6)), draw(st.sampled_from([3, 4])))
+               for _ in range(draw(st.integers(1, 2)))]
+    grids = [np.linspace(*s.domain, 30) for s in systems]
+    curves = [(evaluate_basis(s, g) @ rng.normal(size=(s.num_basis, n))).T
+              for s, g in zip(systems, grids)]
+    design = build_design(curves, grids, systems)
+    y = design.A @ rng.normal(size=design.total_basis) + 0.3 * rng.normal(size=n)
+    method = draw(st.sampled_from(sorted(_FITTERS)))
+    return _FITTERS[method](design, y, draw(st.integers(1, 3)))
+
+
+def _schema_model(tmp_path):
+    """An rfpls model saved by ``rfpls fit`` and the curve files it was fitted on."""
+    rng = np.random.default_rng(12)
+    ids = tuple(f"s{i}" for i in range(30))
+    grid = np.linspace(0.0, 1.0, 25)
+    paths = []
+    for m in range(2):
+        paths.append(str(tmp_path / f"x{m}.csv"))
+        write_curves(paths[-1], CurveTable(ids, grid, rng.normal(size=(30, 25)).cumsum(axis=1)))
+    write_response(tmp_path / "y.csv", ids, rng.normal(size=30))
+    model = tmp_path / "model.json"
+    assert main(["fit", "--method", "rfpls", "--curves", ",".join(paths),
+                 "--response", str(tmp_path / "y.csv"), "--num-basis", "6",
+                 "--components", "2", "--out", str(model)]) == 0
+    return model, ",".join(paths)
+
+
+class TestModelSchema:
+    """One declaration of the model file drives both save and load."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_small_fits())
+    def test_round_trip_is_exact(self, tmp_path_factory, fit):
+        """Loading a saved fit gives it back field for field, and saving the
+        loaded model again writes the same bytes."""
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(path, fit)
+        back = load_model(path)
+        _assert_fields_equal(back, fit)
+        first = path.read_bytes()
+        save_model(path, back)
+        assert path.read_bytes() == first
+
+    def test_blocks_hold_the_fields_in_file_order(self, tmp_path, capsys):
+        model, _ = _schema_model(tmp_path)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        assert list(doc) == ["schema_version", "method", "h", "intercept", "predictors",
+                             "beta_coefs", "robust"]
+        assert [list(p) for p in doc["predictors"]] == [[f.name for f in fields(BasisSystem)]] * 2
+        assert list(doc["robust"]) == [f.name for f in fields(RobustReport)]
+
+    @pytest.mark.parametrize("mutate,pattern", [
+        (lambda d: d.update(intercept="1e3"), "intercept must be a number"),
+        (lambda d: d.update(intercept=True), "intercept must be a number"),
+        (lambda d: d.update(schema_version=True), "schema_version must be an integer"),
+        (lambda d: d["beta_coefs"].__setitem__(0, "0.5"), "beta_coefs must be a list of numbers"),
+        (lambda d: d["beta_coefs"].__setitem__(0, False), "beta_coefs must be a list of numbers"),
+        (lambda d: d.update(beta_coefs=[[b] for b in d["beta_coefs"]]),
+         "beta_coefs must be a list of numbers"),
+        (lambda d: d["robust"]["weights"].__setitem__(0, "1"),
+         "robust.weights must be a list of numbers"),
+        (lambda d: d["robust"]["weights"].__setitem__(0, True),
+         "robust.weights must be a list of numbers"),
+        (lambda d: d["robust"].update(c="1.5"), "robust.c must be a number"),
+        (lambda d: d["robust"].update(scale=True), "robust.scale must be a number"),
+        (lambda d: d["predictors"][0].update(num_basis=10**13),
+         "does not match the basis layout"),
+    ], ids=["intercept-string", "intercept-bool", "schema-version-bool", "beta-string",
+            "beta-bool", "beta-nested", "weight-string", "weight-bool", "c-string",
+            "scale-bool", "num-basis-huge"])
+    def test_mistyped_values_rejected(self, tmp_path, capsys, mutate, pattern):
+        """A value of the wrong JSON type fails to load; ``rfpls predict``
+        exits with code 2 and writes no predictions."""
+        model, curves = _schema_model(tmp_path)
+        doc = json.loads(model.read_text())
+        mutate(doc)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with pytest.raises(InputError, match=pattern):
+            load_model(model)
+        rc = main(["predict", "--model", str(model), "--curves", curves,
+                   "--out", str(tmp_path / "pred.csv")])
+        assert rc == 2
+        assert pattern in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
+    @pytest.mark.parametrize("mutate,pattern", [
+        (lambda d: d["predictors"][0].update(order=7), "num_basis must be at least its order"),
+        (lambda d: d["predictors"][0].update(domain=[1.0, 1.0]), "finite with a < b"),
+        (lambda d: d["predictors"][0].update(domain=[0.0, float("inf")]), "finite with a < b"),
+        (lambda d: d["predictors"][0].pop("order"), "predictors[0].order is missing"),
+        (lambda d: d.update(predictors={}), "predictors must be a list of objects"),
+        (lambda d: d.update(robust=[]), "robust must be an object or null"),
+        (lambda d: d.update(intercept=10**400), "intercept must be finite"),
+    ], ids=["order-above-num-basis", "domain-empty", "domain-infinite", "order-missing",
+            "predictors-object", "robust-list", "intercept-huge"])
+    def test_values_no_fit_can_have_rejected(self, tmp_path, capsys, mutate, pattern):
+        model, _ = _schema_model(tmp_path)
+        doc = json.loads(model.read_text())
+        mutate(doc)
+        model.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=re.escape(pattern)):
+            load_model(model)
+
+
 _NEW_BYTES = b"sample_id,prediction\r\ns1,1.5\r\n"
 
 
@@ -490,8 +622,9 @@ class TestOutputFiles:
         assert path.read_bytes() == "id,y\r\n\u00e9,2.0\r\n".encode("utf-8")
 
 
-def _write_opens(source: str) -> list[str]:
-    """Names of the functions in ``source`` that open a file for writing."""
+def _calls(source: str) -> list[tuple[str, ast.Call, str | None, ast.expr | None]]:
+    """Each call in ``source``: the function it is in, the call, the name it
+    calls, and the mode argument if it is an ``open`` or ``fdopen`` call."""
     found = []
 
     class Visitor(ast.NodeVisitor):
@@ -505,22 +638,41 @@ def _write_opens(source: str) -> list[str]:
         def visit_Call(self, node):
             func = node.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
-            os_open = (name == "open" and isinstance(func, ast.Attribute)
-                       and getattr(func.value, "id", None) == "os")
-            if os_open or name in ("write_text", "write_bytes", "truncate",
-                                   "ftruncate"):
-                found.append(self.scope[-1])
-            elif name in ("open", "fdopen"):
+            if (name == "open" and isinstance(func, ast.Attribute)
+                    and getattr(func.value, "id", None) == "os"):
+                name = "os.open"
+            mode = None
+            if name in ("open", "fdopen"):
                 position = 1 if isinstance(func, ast.Name) else 0
                 mode = next((k.value for k in node.keywords if k.arg == "mode"),
                             node.args[position] if len(node.args) > position else None)
-                if mode is not None and not (isinstance(mode, ast.Constant)
-                                             and not set(str(mode.value)) & set("wax+")):
-                    found.append(self.scope[-1])
+            found.append((self.scope[-1], node, name, mode))
             self.generic_visit(node)
 
     Visitor().visit(ast.parse(source))
     return found
+
+
+def _write_opens(source: str) -> list[str]:
+    """Names of the functions in ``source`` that open a file for writing."""
+    found = []
+    for scope, _, name, mode in _calls(source):
+        if name in ("os.open", "write_text", "write_bytes", "truncate", "ftruncate"):
+            found.append(scope)
+        elif name in ("open", "fdopen"):
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and not set(str(mode.value)) & set("wax+")):
+                found.append(scope)
+    return found
+
+
+def _text_opens_without_encoding(source: str) -> list[str]:
+    """Names of the functions in ``source`` that open a file as text and
+    leave its encoding to the locale."""
+    return [scope for scope, node, name, mode in _calls(source)
+            if name in ("open", "fdopen")
+            and not (isinstance(mode, ast.Constant) and "b" in str(mode.value))
+            and not any(k.arg == "encoding" for k in node.keywords)]
 
 
 class TestOutputOwner:
@@ -543,3 +695,24 @@ class TestOutputOwner:
         found = {(source.name, name) for source in sorted(package.glob("*.py"))
                  for name in _write_opens(source.read_text())}
         assert found == {("fileio.py", "_open_output")}
+
+
+class TestInputEncoding:
+    def test_scan_finds_text_opens_without_encoding(self):
+        source = ("import os\n"
+                  "def a(p): open(p)\n"
+                  "def b(p): open(p, newline='')\n"
+                  "def c(p): open(p, 'w', encoding='utf-8')\n"
+                  "def d(p): open(p, 'rb')\n"
+                  "def e(p): p.open('r')\n"
+                  "def f(p): os.open(p, os.O_RDONLY)\n"
+                  "def g(fd): os.fdopen(fd, mode='w')\n"
+                  "def h(p, m): open(p, m, encoding='latin-1')\n")
+        assert _text_opens_without_encoding(source) == ["a", "b", "e", "g"]
+
+    def test_every_text_open_names_its_encoding(self):
+        """Text files are decoded as the file format says, not as the locale says."""
+        package = Path(rfpls.__file__).parent
+        found = {(source.name, name) for source in sorted(package.glob("*.py"))
+                 for name in _text_opens_without_encoding(source.read_text(encoding="utf-8"))}
+        assert found == set()
