@@ -10,6 +10,7 @@ regression machinery operate on functional data.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -20,6 +21,11 @@ from scipy.interpolate import BSpline
 from scipy.linalg import block_diag
 
 
+def _finite(value) -> bool:
+    """A number within the float range: not NaN, infinite or a huge integer."""
+    return abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class BasisSystem:
     """A clamped B-spline basis on a closed interval.
@@ -27,16 +33,26 @@ class BasisSystem:
     Parameters
     ----------
     domain : tuple of float
-        Closed interval ``(a, b)`` with ``a < b``.
+        Closed interval ``(a, b)`` with ``a < b`` and a finite length ``b - a``.
     num_basis : int
-        Number of basis functions ``K``.
+        Number of basis functions ``K``; at least ``order``.
     order : int
-        Spline order (degree + 1); 4 gives cubic splines.
+        Spline order (degree + 1), at least 1; 4 gives cubic splines.
     """
 
     domain: tuple[float, float]
     num_basis: int
     order: int
+
+    def __post_init__(self):
+        a, b = self.domain
+        if not (all(map(_finite, (a, b, b - a))) and a < b):
+            raise ValueError(f"domain must be finite with a < b and b - a finite, got ({a}, {b})")
+        if self.order < 1:
+            raise ValueError(f"order must be at least 1, got {self.order}")
+        if self.num_basis < self.order:
+            raise ValueError(f"num_basis must be at least its order {self.order}, "
+                             f"got {self.num_basis}")
 
     @property
     def knots(self) -> np.ndarray:
@@ -63,14 +79,7 @@ def build_bspline_system(domain: tuple[float, float], num_basis: int,
     -------
     BasisSystem
     """
-    a, b = float(domain[0]), float(domain[1])
-    if not np.isfinite([a, b]).all() or a >= b:
-        raise ValueError(f"domain must be a finite interval (a, b) with a < b, got ({a}, {b})")
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
-    if num_basis < order:
-        raise ValueError(f"num_basis must be at least order={order}, got {num_basis}")
-    return BasisSystem(domain=(a, b), num_basis=num_basis, order=order)
+    return BasisSystem((float(domain[0]), float(domain[1])), num_basis, order)
 
 
 def evaluate_basis(system: BasisSystem, points: np.ndarray) -> np.ndarray:

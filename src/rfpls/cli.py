@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import os
 import sys
 from dataclasses import fields, replace
@@ -20,7 +19,7 @@ import numpy as np
 from .basis import build_bspline_system, build_design
 from .errors import ConfigError, InputError, NumericalError
 from .evaluation import select_num_components
-from .fileio import (_open_output, load_model, read_curves, read_response,
+from .fileio import (_open_input, _write_table, load_model, read_curves, read_response,
                      save_model, write_predictions)
 from .regression import _FITTERS, predict
 from .simulation import ExperimentConfig, run_experiment
@@ -140,27 +139,17 @@ def cmd_cv(args) -> int:
     _print_cv_table(report)
     print(f"chosen_h={report.chosen_h}")
     if args.out:
-        with _open_output(args.out, newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["h", "trimmed_mspe"])
-            for h, score in zip(report.grid, report.scores):
-                writer.writerow([h, repr(float(score))])
+        _write_table(args.out, ["h", "trimmed_mspe"], zip(report.grid, report.scores.tolist()))
         print(f"scores written to {args.out}")
     return 0
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Parse an INI experiment file with a single [experiment] section."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text, source=path)
+        with _open_input(path) as handle:
+            parser.read_file(handle, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if "experiment" not in parser:

@@ -1,4 +1,4 @@
-"""CSV and model-file formats used by the command line tool.
+"""File formats, and every open of a file the package reads or writes.
 
 Curve tables are CSV with header ``id,<t1>,<t2>,...`` where the numeric
 header cells are the strictly increasing observation grid; each row is
@@ -14,7 +14,6 @@ import json
 import os
 import reprlib
 import stat
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -22,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import BasisSystem
+from .basis import BasisSystem, _finite
 from .errors import InputError
 from .regression import _FITTERS, FittedSofr, RobustReport
 
@@ -71,7 +70,22 @@ def _parse_cells(path: str, rows: list[tuple[int, list[str]]], start: int) -> np
 
 
 @contextmanager
-def _open_output(path: str, newline: str | None = None):
+def _open_input(path: str):
+    """Open ``path`` to stream UTF-8 text, ignoring a leading byte-order mark.
+
+    Failing to open, read or decode it, also inside the block, raises
+    ``InputError`` naming the path."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            yield handle
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
+def _open_output(path: str):
     """Open ``path`` to write UTF-8 text, overwriting an existing file in place.
 
     ext4 (``auto_da_alloc``) writes a file back at close when it was
@@ -81,10 +95,11 @@ def _open_output(path: str, newline: str | None = None):
     when the block exits, also on an error; a cut above zero length does
     not trigger the writeback.  It stays the same file: its mode, hard
     links, write protection and symlinks behave as with ``open(path, "w")``.
+    Newlines are written as given, so the bytes are the same on every platform.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     regular = stat.S_ISREG(os.fstat(fd).st_mode)
-    with open(fd, "w", encoding="utf-8", newline=newline) as handle:
+    with open(fd, "w", encoding="utf-8", newline="") as handle:
         try:
             yield handle
         finally:
@@ -95,19 +110,23 @@ def _open_output(path: str, newline: str | None = None):
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
+def _write_table(path: str, header, rows) -> None:
+    """Write a CSV table.  Float cells must be Python floats, as ``tolist()``
+    gives them: ``csv`` writes their shortest repr, which reads back bit for bit."""
+    with _open_output(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _read_rows(path: str) -> tuple[list[str], tuple[str, ...], list[tuple[int, list[str]]]]:
     """Header, sample ids and numbered data rows of a CSV table.
 
     Blank rows are skipped.  Every data row must have as many cells as
     the header, and the ids in the first cells must be unique.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with _open_input(path) as handle:
+        rows = list(csv.reader(handle))
     if not rows:
         raise InputError(f"{path}: file is empty")
     header = rows[0]
@@ -140,11 +159,9 @@ def read_curves(path: str) -> CurveTable:
 
 
 def write_curves(path: str, table: CurveTable) -> None:
-    with _open_output(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id"] + [repr(float(t)) for t in table.grid])
-        for sid, row in zip(table.sample_ids, table.values):
-            writer.writerow([sid] + [repr(float(v)) for v in row])
+    values = np.asarray(table.values, dtype=float).tolist()
+    _write_table(path, ["id", *np.asarray(table.grid, dtype=float).tolist()],
+                 ([sid, *row] for sid, row in zip(table.sample_ids, values)))
 
 
 def read_response(path: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -156,19 +173,12 @@ def read_response(path: str) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def write_response(path: str, ids, y: np.ndarray) -> None:
-    with _open_output(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "y"])
-        for sid, value in zip(ids, y):
-            writer.writerow([sid, repr(float(value))])
+    _write_table(path, ["id", "y"], zip(ids, np.asarray(y, dtype=float).tolist()))
 
 
 def write_predictions(path: str, ids, predictions: np.ndarray) -> None:
-    with _open_output(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sample_id", "prediction"])
-        for sid, value in zip(ids, predictions):
-            writer.writerow([sid, repr(float(value))])
+    _write_table(path, ["sample_id", "prediction"],
+                 zip(ids, np.asarray(predictions, dtype=float).tolist()))
 
 
 class _Type(NamedTuple):
@@ -177,11 +187,6 @@ class _Type(NamedTuple):
     name: str
     check: Callable[[object], bool]
     load: Callable = lambda value: value
-
-
-def _finite(value) -> bool:
-    """A JSON number within the float range: not NaN, infinite or a huge integer."""
-    return abs(value) <= sys.float_info.max
 
 
 # JSON numbers decode to exactly int or float, so ``true`` is not a number.
@@ -212,12 +217,7 @@ _must = "{{key}} must be {}, got {{value}}".format
 # The model file, declared once: ``save_model`` writes these keys in this order and
 # ``load_model`` checks every value before it uses any.  The predictor and robust
 # blocks hold the fields of ``BasisSystem`` and ``RobustReport``.
-_PREDICTOR = (
-    _Key("domain", _INTERVAL, lambda v: all(map(_finite, v)) and v[0] < v[1],
-         _must("finite with a < b")),
-    _Key("num_basis", _COUNT, lambda v: v >= 1, _must("at least 1")),
-    _Key("order", _COUNT, lambda v: v >= 1, _must("at least 1")),
-)
+_PREDICTOR = (_Key("domain", _INTERVAL), _Key("num_basis", _COUNT), _Key("order", _COUNT))
 _ROBUST = (
     _Key("weights", _NUMBERS, lambda v: all(_finite(w) and 0 <= w <= 1 for w in v),
          _must("finite and in [0, 1]")),
@@ -278,28 +278,26 @@ def load_model(path: str) -> FittedSofr:
     not stored: predictions derive it from the basis layout.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with _open_input(path) as handle:
             doc = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except ValueError as exc:  # not JSON; a decoding error is an InputError already
         raise InputError(f"{path}: not a model file ({exc})") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise InputError(f"{path}: not a model file (missing schema_version)")
     _read(path, "", doc, (_VERSION,))
     top = _read(path, "", {"robust": None, **doc})
-    systems = tuple(BasisSystem(**_read(path, f"predictors[{i}].", p, _PREDICTOR))
-                    for i, p in enumerate(top["systems"]))
+    systems = []
+    for i, p in enumerate(top["systems"]):
+        try:
+            systems.append(BasisSystem(**_read(path, f"predictors[{i}].", p, _PREDICTOR)))
+        except ValueError as exc:
+            raise InputError(f"{path}: predictors[{i}].{exc}") from None
     rb = top["robust_report"]
     report = None if rb is None else RobustReport(**_read(path, "robust.", rb, _ROBUST))
     method, h, total = top["method"], top["h"], sum(s.num_basis for s in systems)
     if top["beta_coefs"].size != total:
         raise InputError(f"{path}: coefficient length {top['beta_coefs'].size} does not "
                          f"match the basis layout ({total})")
-    for i, s in enumerate(systems):
-        if s.num_basis < s.order:
-            raise InputError(f"{path}: predictors[{i}].num_basis must be at least its "
-                             f"order {s.order}, got {s.num_basis}")
     if h > total:
         raise InputError(f"{path}: h = {h} exceeds the {total} basis functions")
     if (report is None) == (method == "rfpls"):
@@ -308,4 +306,4 @@ def load_model(path: str) -> FittedSofr:
     if report is not None and report.weights.size < h + 2:
         raise InputError(f"{path}: robust weights need one entry per training sample, "
                          f"at least h + 2 = {h + 2}; got {report.weights.size}")
-    return FittedSofr(**{**top, "systems": systems, "robust_report": report})
+    return FittedSofr(**{**top, "systems": tuple(systems), "robust_report": report})

@@ -18,7 +18,6 @@ multi-process run is byte-identical to a serial one.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import itertools
 from concurrent.futures import ProcessPoolExecutor
@@ -29,9 +28,9 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .basis import build_bspline_system, build_design
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, InputError, NumericalError
 from .evaluation import risee, select_num_components, trimmed_mspe, trimmed_r2
-from .fileio import _open_output
+from .fileio import _open_input, _write_table
 from .regression import _FITTERS, coefficient_functions, predict_from_design
 
 GRID_POINTS = 200
@@ -260,12 +259,12 @@ def _run_replication(config: ExperimentConfig,
 
 
 def _openblas_libraries() -> list[ctypes.CDLL]:
-    """Every OpenBLAS shared library mapped into this process."""
+    """Every OpenBLAS shared library mapped into this process; none if unreadable."""
     try:
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as handle:
+        with _open_input("/proc/self/maps") as handle:
             paths = sorted({line.split()[-1] for line in handle
                             if "openblas" in line.lower() and "/" in line})
-    except OSError:
+    except InputError:
         return []
     return [ctypes.CDLL(path) for path in paths]
 
@@ -314,28 +313,19 @@ class ExperimentResult:
         return float(np.median(vals))
 
     def write_csv(self, path: str) -> None:
-        """Long-format rows; float fields use repr so bytes are reproducible."""
-        with _open_output(path, newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["replication", "method", "level", "metric",
-                             "target", "value"])
-            for r in self.rows:
-                writer.writerow([r.replication, r.method, repr(float(r.level)),
-                                 r.metric, r.target, repr(float(r.value))])
+        """Long-format rows, one per metric value."""
+        _write_table(path, ResultRow._fields,
+                     ([r.replication, r.method, float(r.level), r.metric, r.target,
+                       float(r.value)] for r in self.rows))
 
     def write_summary_csv(self, path: str) -> None:
         """Median of every (method, level, metric, target) cell."""
         cells: dict[tuple[str, float, str, str], list[float]] = {}
         for r in self.rows:
             cells.setdefault((r.method, r.level, r.metric, r.target), []).append(r.value)
-        with _open_output(path, newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["method", "level", "metric", "target", "median",
-                             "replications"])
-            for key in sorted(cells):
-                vals = cells[key]
-                writer.writerow([key[0], repr(float(key[1])), key[2], key[3],
-                                 repr(float(np.median(vals))), len(vals)])
+        _write_table(path, ["method", "level", "metric", "target", "median", "replications"],
+                     ([method, float(level), metric, target, float(np.median(vals)), len(vals)]
+                      for (method, level, metric, target), vals in sorted(cells.items())))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -9,7 +9,7 @@ from numpy.polynomial.legendre import legval
 from scipy.integrate import simpson
 
 from rfpls import basis
-from rfpls.basis import (build_bspline_system, build_design, evaluate_basis,
+from rfpls.basis import (BasisSystem, build_bspline_system, build_design, evaluate_basis,
                          gram_from_function, gram_matrix, inv_sqrt_gram,
                          smooth_curves, sqrt_gram)
 from rfpls.fileio import load_model, save_model
@@ -58,15 +58,17 @@ class TestBuildSystem:
         assert a.knots.tobytes() == want.tobytes()
 
     def test_invalid_arguments(self):
-        """Bad domain, order or basis count are rejected."""
-        with pytest.raises(ValueError):
-            build_bspline_system((1.0, 0.0), 6)
-        with pytest.raises(ValueError):
-            build_bspline_system((0.0, 1.0), 3, order=4)
-        with pytest.raises(ValueError):
-            build_bspline_system((0.0, 1.0), 5, order=0)
-        with pytest.raises(ValueError):
-            build_bspline_system((0.0, np.inf), 5)
+        """Bad domain, order or basis count are rejected by the system itself,
+        also when the length of a domain with finite ends overflows."""
+        for domain, num_basis, order, pattern in [
+                ((1.0, 0.0), 6, 4, "a < b"),
+                ((0.0, 1.0), 3, 4, "num_basis must be at least its order 4"),
+                ((0.0, 1.0), 5, 0, "order must be at least 1"),
+                ((0.0, np.inf), 5, 4, "finite"),
+                ((-1e308, 1e308), 5, 4, "b - a finite")]:
+            for make in (BasisSystem, build_bspline_system):
+                with pytest.raises(ValueError, match=pattern):
+                    make(domain, num_basis, order)
 
 
 class TestEvaluateBasis:

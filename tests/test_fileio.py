@@ -13,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfpls
-from rfpls import fileio
+from rfpls import cli, fileio
 from rfpls.basis import BasisSystem, build_bspline_system, build_design, evaluate_basis
 from rfpls.cli import main
 from rfpls.errors import InputError
+from rfpls.evaluation import CVReport
 from rfpls.fileio import (CurveTable, load_model, read_curves, read_response,
                           save_model, write_curves, write_predictions,
                           write_response)
 from rfpls.regression import (_FITTERS, FittedSofr, RobustReport, fit_fpls, fit_rfpls,
                               predict_from_design)
+from rfpls.simulation import ExperimentConfig, ExperimentResult, ResultRow
 
 
 class TestCurveTables:
@@ -123,6 +125,48 @@ class TestResponseTables:
         path = tmp_path / "pred.csv"
         write_predictions(path, ("s1", "s2"), np.array([1.5, -0.5]))
         assert path.read_text() == "sample_id,prediction\ns1,1.5\ns2,-0.5\n"
+
+
+_TABLE_BYTES = {
+    "curves": b"id,0.0,0.1,0.5,1.0\r\na,0.1,-0.1,1e-300,1.1\r\nb,-0.0,0.0,-0.0,1.0\r\n"
+              b"c,1e-300,-1e-300,0.1,1.0\r\n",
+    "response": b"id,y\r\na,0.1\r\nb,-0.0\r\nc,1e-300\r\n",
+    "predictions": b"sample_id,prediction\r\na,0.1\r\nb,-0.0\r\nc,1e-300\r\n",
+    "scores": b"h,trimmed_mspe\r\n1,0.1\r\n2,-0.0\r\n3,1e-300\r\n4,inf\r\n",
+    "results": b"replication,method,level,metric,target,value\r\n"
+               b"0,fpls,0.1,trimmed_mspe,,0.1\r\n0,fpls,0.1,risee,beta1,-0.0\r\n"
+               b"1,fpls,0.1,risee,beta1,1e-300\r\n0,rfpls,0.0,chosen_h,,2.0\r\n",
+    "summary": b"method,level,metric,target,median,replications\r\n"
+               b"fpls,0.1,risee,beta1,5e-301,2\r\nfpls,0.1,trimmed_mspe,,0.1,1\r\n"
+               b"rfpls,0.0,chosen_h,,2.0,1\r\n",
+}
+
+
+class TestTableBytes:
+    def test_every_table_keeps_its_bytes(self, tmp_path, monkeypatch, capsys):
+        """All six CSV tables write a float as the shortest repr that reads back
+        bit for bit, -0.0, 1e-300 and inf included, and an integer level as a float."""
+        ids, v = ("a", "b", "c"), np.array([0.1, -0.0, 1e-300])
+        write_curves(tmp_path / "curves.csv", CurveTable(
+            ids, np.array([0.0, 0.1, 0.5, 1.0]), np.column_stack([v, -v, v[::-1], v + 1])))
+        write_response(tmp_path / "response.csv", ids, v)
+        write_predictions(tmp_path / "predictions.csv", ids, v)
+        report = CVReport(grid=(1, 2, 3, 4), scores=np.array([0.1, -0.0, 1e-300, np.inf]),
+                          chosen_h=3, folds=2, alpha=0.1, skipped=((4, 0), (4, 1)))
+        monkeypatch.setattr(cli, "select_num_components", lambda *args, **kwargs: report)
+        assert main(["cv", "--method", "fpls", "--curves", str(tmp_path / "curves.csv"),
+                     "--response", str(tmp_path / "response.csv"), "--num-basis", "4",
+                     "--out", str(tmp_path / "scores.csv")]) == 0
+        capsys.readouterr()
+        result = ExperimentResult(ExperimentConfig(), [
+            ResultRow(0, "fpls", 0.1, "trimmed_mspe", "", 0.1),
+            ResultRow(0, "fpls", 0.1, "risee", "beta1", -0.0),
+            ResultRow(1, "fpls", 0.1, "risee", "beta1", 1e-300),
+            ResultRow(0, "rfpls", 0, "chosen_h", "", 2.0)])
+        result.write_csv(tmp_path / "results.csv")
+        result.write_summary_csv(tmp_path / "summary.csv")
+        assert {name: (tmp_path / f"{name}.csv").read_bytes()
+                for name in _TABLE_BYTES} == _TABLE_BYTES
 
 
 def _per_cell(path, cells):
@@ -390,6 +434,23 @@ class TestModelFiles:
         back = load_model(path)
         assert [s.domain for s in back.systems] == [(0.0, 1.0), (0.0, 2.0)]
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        """A model file is read as CSV and INI input are: UTF-8, with a
+        leading byte-order mark ignored."""
+        fit = fit_fpls(*_fitted_pair(12), 2)
+        path = tmp_path / "model.json"
+        save_model(path, fit)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        _assert_fields_equal(load_model(path), fit)
+
+    def test_model_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"schema_version": 1, "method": "caf\u00e9"}'.encode("latin-1"))
+        rc = main(["predict", "--model", str(path), "--curves", "unused.csv",
+                   "--out", str(tmp_path / "pred.csv")])
+        assert rc == 2
+        assert "latin1.json: not UTF-8 text" in capsys.readouterr().err
+
     def test_non_json_and_missing_files(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("this is not json")
@@ -517,8 +578,11 @@ class TestModelSchema:
         (lambda d: d.update(predictors={}), "predictors must be a list of objects"),
         (lambda d: d.update(robust=[]), "robust must be an object or null"),
         (lambda d: d.update(intercept=10**400), "intercept must be finite"),
+        (lambda d: d["predictors"][0].update(domain=[-1e308, 1e308]), "finite with a < b"),
+        (lambda d: d["predictors"][0].update(domain=[0, 10**400]), "finite with a < b"),
     ], ids=["order-above-num-basis", "domain-empty", "domain-infinite", "order-missing",
-            "predictors-object", "robust-list", "intercept-huge"])
+            "predictors-object", "robust-list", "intercept-huge", "domain-length-overflows",
+            "domain-huge-integer"])
     def test_values_no_fit_can_have_rejected(self, tmp_path, capsys, mutate, pattern):
         model, _ = _schema_model(tmp_path)
         doc = json.loads(model.read_text())
@@ -666,6 +730,33 @@ def _write_opens(source: str) -> list[str]:
     return found
 
 
+def _read_opens(source: str) -> list[str]:
+    """Names of the functions in ``source`` that open a file for reading, or
+    may: every open but those with a constant write-only mode or flags."""
+    found = []
+    for scope, node, name, mode in _calls(source):
+        if name in ("read_text", "read_bytes"):
+            found.append(scope)
+        elif name == "os.open":
+            if "O_WRONLY" not in ast.unparse(node.args[1]):
+                found.append(scope)
+        elif name in ("open", "fdopen"):
+            if not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax")
+                    and "+" not in str(mode.value)):
+                found.append(scope)
+    return found
+
+
+def _csv_users(source: str) -> list[str]:
+    """Names of the functions in ``source`` that make a ``csv`` writer, and
+    ``<import>`` for each import of ``csv``."""
+    imports = [node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "csv"]
+    return (["<import>"] * len(imports)
+            + [scope for scope, _, name, _ in _calls(source) if name in ("writer", "DictWriter")])
+
+
 def _text_opens_without_encoding(source: str) -> list[str]:
     """Names of the functions in ``source`` that open a file as text and
     leave its encoding to the locale."""
@@ -695,6 +786,48 @@ class TestOutputOwner:
         found = {(source.name, name) for source in sorted(package.glob("*.py"))
                  for name in _write_opens(source.read_text())}
         assert found == {("fileio.py", "_open_output")}
+
+
+class TestInputOwner:
+    def test_scan_finds_reading_opens(self):
+        source = ("import os\n"
+                  "def a(p): open(p)\n"
+                  "def b(p): open(p, 'w')\n"
+                  "def c(p, m): open(p, mode=m)\n"
+                  "def d(p): p.open()\n"
+                  "def e(p): p.read_text()\n"
+                  "def f(p): os.open(p, os.O_RDONLY)\n"
+                  "def g(p): os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+                  "def h(p): open(p, 'rb')\n"
+                  "def i(p): open(p, 'w+')\n"
+                  "def j(fd): os.fdopen(fd, mode='a')\n")
+        assert _read_opens(source) == ["a", "c", "d", "e", "f", "h", "i"]
+
+    def test_only_the_input_helper_opens_files_for_reading(self):
+        """Every input file of the package goes through ``fileio._open_input``."""
+        package = Path(rfpls.__file__).parent
+        found = {(source.name, name) for source in sorted(package.glob("*.py"))
+                 for name in _read_opens(source.read_text(encoding="utf-8"))}
+        assert found == {("fileio.py", "_open_input")}
+
+
+class TestTableOwner:
+    def test_scan_finds_csv_writers_and_imports(self):
+        source = ("import csv\n"
+                  "from csv import writer\n"
+                  "def a(h): csv.writer(h)\n"
+                  "def b(h): writer(h)\n"
+                  "def c(h): csv.reader(h)\n"
+                  "def d(h): csv.DictWriter(h, ['x'])\n")
+        assert _csv_users(source) == ["<import>", "<import>", "a", "b", "d"]
+
+    def test_only_the_table_writer_uses_csv_to_write(self):
+        """``fileio._write_table`` alone decides the bytes of a CSV table, and
+        no other module imports ``csv``."""
+        package = Path(rfpls.__file__).parent
+        found = {(source.name, name) for source in sorted(package.glob("*.py"))
+                 for name in _csv_users(source.read_text(encoding="utf-8"))}
+        assert found == {("fileio.py", "<import>"), ("fileio.py", "_write_table")}
 
 
 class TestInputEncoding:
