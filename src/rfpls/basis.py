@@ -17,8 +17,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BSpline
-from scipy.linalg import block_diag
 
 
 def _finite(value) -> bool:
@@ -96,9 +94,26 @@ def evaluate_basis(system: BasisSystem, points: np.ndarray) -> np.ndarray:
     a, b = system.domain
     if (pts < a).any() or (pts > b).any():
         raise ValueError(f"points must lie within the domain [{a}, {b}]")
-    mat = BSpline.design_matrix(pts, system.knots, system.order - 1,
-                                extrapolate=False)
-    return mat.toarray()
+    # De Boor's triangle at every point at once, in fitpack's order of
+    # operations: row m of h is fitpack's h[m] for each point, so every
+    # value matches fitpack bit for bit.  The span ell of x satisfies
+    # knots[ell] <= x < knots[ell + 1] (at least k, as order knots sit at a),
+    # and b falls into the last non-empty span.  Spans of clamped knots are
+    # non-empty, so xb - xa > 0 always and no division needs masking.
+    knots, k = system.knots, system.order - 1
+    ell = np.minimum(np.searchsorted(knots, pts, "right") - 1, system.num_basis - 1)
+    t = knots[np.arange(-k + 1, k + 1)[:, None] + ell]
+    xb_minus_x, x_minus_xa = t[k:] - pts, pts - t[:k]
+    h = np.ones((1, pts.size))
+    for j in range(1, k + 1):
+        w = h / (t[k:k + j] - t[k - j:k])
+        h = np.zeros((j + 1, pts.size))
+        h[:j] += w * xb_minus_x[:j]
+        h[1:] += w * x_minus_xa[k - j:]
+    out = np.zeros((pts.size, system.num_basis))
+    rows = np.arange(0, out.size, system.num_basis) + ell - k
+    out.reshape(-1)[rows[:, None] + np.arange(k + 1)] = h.T
+    return out
 
 
 def gram_from_function(basis_fn: Callable[[np.ndarray], np.ndarray],
@@ -236,10 +251,12 @@ def _geometry(systems: tuple[BasisSystem, ...]) -> _Geometry:
     Equal ``BasisSystem`` values key one entry, so the fresh systems of every
     replication, design and loaded model share one read-only set of matrices.
     """
-    grams = [gram_matrix(s) for s in systems]
-    geometry = _Geometry(block_diag(*grams),
-                         block_diag(*[sqrt_gram(g) for g in grams]),
-                         block_diag(*[inv_sqrt_gram(g) for g in grams]))
+    slices = _block_slices(systems)
+    geometry = _Geometry(*(np.zeros((slices[-1].stop,) * 2) for _ in _Geometry._fields))
+    for sl, system in zip(slices, systems):
+        gram = gram_matrix(system)
+        for mat, block in zip(geometry, (gram, sqrt_gram(gram), inv_sqrt_gram(gram))):
+            mat[sl, sl] = block
     for mat in geometry:
         mat.flags.writeable = False
     return geometry

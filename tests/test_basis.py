@@ -5,8 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import legval
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss, legval
 from scipy.integrate import simpson
+from scipy.interpolate import BSpline
+from scipy.linalg import block_diag
 
 from rfpls import basis
 from rfpls.basis import (BasisSystem, build_bspline_system, build_design, evaluate_basis,
@@ -104,6 +108,26 @@ class TestEvaluateBasis:
         for i in range(4):
             want = math.comb(3, i) * pts ** i * (1 - pts) ** (3 - i)
             np.testing.assert_allclose(got[:, i], want, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bytes_match_scipy_design_matrix(self, data):
+        """The collocation kernel repeats fitpack's arithmetic: every value
+        equals scipy's ``BSpline.design_matrix`` bit for bit, at both ends,
+        at every knot, at the Gauss nodes ``gram_matrix`` uses and between."""
+        order = data.draw(st.integers(1, 6), label="order")
+        num_basis = data.draw(st.integers(order, 40), label="num_basis")
+        a = data.draw(st.floats(-1e6, 1e6), label="a")
+        b = a + data.draw(st.floats(1e-3, 1e6), label="width")
+        system = build_bspline_system((a, b), num_basis, order=order)
+        breaks = np.unique(system.knots)
+        nodes = leggauss(order)[0]
+        gauss = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+                                for lo, hi in zip(breaks[:-1], breaks[1:])])
+        inner = data.draw(st.lists(st.floats(a, b), max_size=30), label="points")
+        pts = np.concatenate([[a, b], system.knots, np.clip(gauss, a, b), inner])
+        want = BSpline.design_matrix(pts, system.knots, order - 1).toarray()
+        assert evaluate_basis(system, pts).tobytes() == want.tobytes()
 
     def test_out_of_domain_rejected(self):
         system = build_bspline_system((0.0, 1.0), 6)
@@ -307,6 +331,18 @@ class TestGeometryPerLayout:
         np.testing.assert_allclose(long.Psi, 3.0 * short.Psi, rtol=1e-12)
         np.testing.assert_allclose(long.Psi_half, math.sqrt(3.0) * short.Psi_half,
                                    rtol=1e-10)
+
+    def test_blocks_match_scipy_block_diag(self):
+        """Each stacked matrix has the bytes of scipy's ``block_diag`` of
+        the per-basis blocks."""
+        systems = (build_bspline_system((0.0, 1.0), 6),
+                   build_bspline_system((-1.0, 2.0), 9, order=3),
+                   build_bspline_system((0.0, 5.0), 4, order=2))
+        geometry = basis._geometry(systems)
+        grams = [gram_matrix(s) for s in systems]
+        for got, root in zip(geometry, (None, sqrt_gram, inv_sqrt_gram)):
+            want = block_diag(*[g if root is None else root(g) for g in grams])
+            assert got.tobytes() == want.tobytes()
 
     def test_shared_matrices_are_read_only(self):
         curves, grids, systems = self._sample([(0.0, 1.0), (0.0, 2.0)], 1)

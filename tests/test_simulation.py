@@ -67,6 +67,21 @@ class TestGeneratorPieces:
         np.testing.assert_allclose(coefficient_integrals(leverage=leverage),
                                    exact, atol=1e-9)
 
+    @pytest.mark.parametrize("leverage", [False, True])
+    def test_integrals_match_scipy_simpson_bytes(self, leverage):
+        """The Simpson rule has the bytes of scipy's for the same samples."""
+        fine = np.linspace(0.0, 1.0, 2001)
+        integrand = (harmonic_functions(fine, leverage=leverage)[:, None, :]
+                     * true_coefficient_functions(fine)[None, :, :])
+        want = simpson(integrand, x=fine, axis=-1)
+        assert coefficient_integrals(leverage=leverage).tobytes() == want.tobytes()
+
+    def test_integrals_are_computed_once_and_read_only(self):
+        first = coefficient_integrals(leverage=True)
+        assert coefficient_integrals(leverage=True) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+
 
 class TestGenerateClean:
     def test_repeatable(self):
