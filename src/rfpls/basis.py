@@ -33,7 +33,8 @@ class BasisSystem:
     domain : tuple of float
         Closed interval ``(a, b)`` with ``a < b`` and a finite length ``b - a``.
     num_basis : int
-        Number of basis functions ``K``; at least ``order``.
+        Number of basis functions ``K``; at least ``order``, and few enough
+        that the equispaced knots from ``a`` to ``b`` stay distinct floats.
     order : int
         Spline order (degree + 1), at least 1; 4 gives cubic splines.
     """
@@ -51,6 +52,9 @@ class BasisSystem:
         if self.num_basis < self.order:
             raise ValueError(f"num_basis must be at least its order {self.order}, "
                              f"got {self.num_basis}")
+        if (np.diff(self.knots[self.order - 1:self.num_basis + 1]) <= 0).any():
+            raise ValueError(f"num_basis {self.num_basis} needs distinct knots, but "
+                             f"({a}, {b}) is too narrow to hold them")
 
     @property
     def knots(self) -> np.ndarray:
@@ -98,8 +102,9 @@ def evaluate_basis(system: BasisSystem, points: np.ndarray) -> np.ndarray:
     # operations: row m of h is fitpack's h[m] for each point, so every
     # value matches fitpack bit for bit.  The span ell of x satisfies
     # knots[ell] <= x < knots[ell + 1] (at least k, as order knots sit at a),
-    # and b falls into the last non-empty span.  Spans of clamped knots are
-    # non-empty, so xb - xa > 0 always and no division needs masking.
+    # and b falls into the last non-empty span.  BasisSystem keeps the knots
+    # from a to b strictly increasing, so every span the triangle divides by
+    # is non-empty, xb - xa > 0 always and no division needs masking.
     knots, k = system.knots, system.order - 1
     ell = np.minimum(np.searchsorted(knots, pts, "right") - 1, system.num_basis - 1)
     t = knots[np.arange(-k + 1, k + 1)[:, None] + ell]

@@ -286,18 +286,22 @@ def load_model(path: str) -> FittedSofr:
         raise InputError(f"{path}: not a model file (missing schema_version)")
     _read(path, "", doc, (_VERSION,))
     top = _read(path, "", {"robust": None, **doc})
+    layout = [_read(path, f"predictors[{i}].", p, _PREDICTOR)
+              for i, p in enumerate(top["systems"])]
+    method, h, total = top["method"], top["h"], sum(p["num_basis"] for p in layout)
+    # Checked before any BasisSystem is built: building one lays out its
+    # num_basis knots, so a file's claimed count is bounded by its coefficients.
+    if top["beta_coefs"].size != total:
+        raise InputError(f"{path}: coefficient length {top['beta_coefs'].size} does not "
+                         f"match the basis layout ({total})")
     systems = []
-    for i, p in enumerate(top["systems"]):
+    for i, p in enumerate(layout):
         try:
-            systems.append(BasisSystem(**_read(path, f"predictors[{i}].", p, _PREDICTOR)))
+            systems.append(BasisSystem(**p))
         except ValueError as exc:
             raise InputError(f"{path}: predictors[{i}].{exc}") from None
     rb = top["robust_report"]
     report = None if rb is None else RobustReport(**_read(path, "robust.", rb, _ROBUST))
-    method, h, total = top["method"], top["h"], sum(s.num_basis for s in systems)
-    if top["beta_coefs"].size != total:
-        raise InputError(f"{path}: coefficient length {top['beta_coefs'].size} does not "
-                         f"match the basis layout ({total})")
     if h > total:
         raise InputError(f"{path}: h = {h} exceeds the {total} basis functions")
     if (report is None) == (method == "rfpls"):

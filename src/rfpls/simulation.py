@@ -22,7 +22,6 @@ import ctypes
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -78,19 +77,15 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
                                 + y[..., 2::2] * (2.0 - h0divh1)), axis=-1)
 
 
-@lru_cache(maxsize=None)
 def coefficient_integrals(leverage: bool = False) -> np.ndarray:
     """Integrals ``I[j, m] = int v_j(t) beta_m(t) dt`` by composite Simpson.
 
     Evaluated on a 2001-point uniform grid, far past the accuracy needed
-    for the smooth trigonometric integrands.  Computed once per
-    ``leverage`` value; the returned array is read-only.
+    for the smooth trigonometric integrands.
     """
     harm = harmonic_functions(_FINE_GRID, leverage=leverage)
     betas = true_coefficient_functions(_FINE_GRID)
-    integrals = _simpson(harm[:, None, :] * betas[None, :, :], _FINE_GRID)
-    integrals.flags.writeable = False
-    return integrals
+    return _simpson(harm[:, None, :] * betas[None, :, :], _FINE_GRID)
 
 
 def _signal(kappa: np.ndarray, leverage: bool) -> np.ndarray:

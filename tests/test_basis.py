@@ -63,13 +63,15 @@ class TestBuildSystem:
 
     def test_invalid_arguments(self):
         """Bad domain, order or basis count are rejected by the system itself,
-        also when the length of a domain with finite ends overflows."""
+        also when the length of a domain with finite ends overflows or the
+        domain is too narrow for distinct knots."""
         for domain, num_basis, order, pattern in [
                 ((1.0, 0.0), 6, 4, "a < b"),
                 ((0.0, 1.0), 3, 4, "num_basis must be at least its order 4"),
                 ((0.0, 1.0), 5, 0, "order must be at least 1"),
                 ((0.0, np.inf), 5, 4, "finite"),
-                ((-1e308, 1e308), 5, 4, "b - a finite")]:
+                ((-1e308, 1e308), 5, 4, "b - a finite"),
+                ((1.0, np.nextafter(1.0, 2.0)), 10, 4, "distinct knots")]:
             for make in (BasisSystem, build_bspline_system):
                 with pytest.raises(ValueError, match=pattern):
                     make(domain, num_basis, order)

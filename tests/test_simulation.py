@@ -76,12 +76,6 @@ class TestGeneratorPieces:
         want = simpson(integrand, x=fine, axis=-1)
         assert coefficient_integrals(leverage=leverage).tobytes() == want.tobytes()
 
-    def test_integrals_are_computed_once_and_read_only(self):
-        first = coefficient_integrals(leverage=True)
-        assert coefficient_integrals(leverage=True) is first
-        with pytest.raises(ValueError, match="read-only"):
-            first[0, 0] = 1.0
-
 
 class TestGenerateClean:
     def test_repeatable(self):
