@@ -156,30 +156,28 @@ def gram_matrix(system: BasisSystem) -> np.ndarray:
                               np.unique(system.knots), system.order)
 
 
-def _eigh_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric PSD matrix with a negativity check."""
-    sym = 0.5 * (mat + mat.T)
-    evals, evecs = np.linalg.eigh(sym)
+def _gram_roots(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sqrt_gram`` and ``inv_sqrt_gram`` of a symmetric PSD matrix from one
+    eigendecomposition, with a negativity check."""
+    mat = np.asarray(psi, dtype=float)
+    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
     top = max(float(evals[-1]), 0.0)
     if evals[0] < -1e-8 * max(top, 1.0):
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {evals[0]:.3e}")
-    return np.maximum(evals, 0.0), evecs
+    evals = np.maximum(evals, 0.0)
+    inv = np.divide(1.0, np.sqrt(evals), out=np.zeros_like(evals), where=evals > 1e-12 * top)
+    roots = [(evecs * scale) @ evecs.T for scale in (np.sqrt(evals), inv)]
+    return tuple(0.5 * (root + root.T) for root in roots)
 
 
 def sqrt_gram(psi: np.ndarray) -> np.ndarray:
     """Symmetric square root of a Gram matrix via eigendecomposition."""
-    evals, evecs = _eigh_psd(np.asarray(psi, dtype=float))
-    root = (evecs * np.sqrt(evals)) @ evecs.T
-    return 0.5 * (root + root.T)
+    return _gram_roots(psi)[0]
 
 
 def inv_sqrt_gram(psi: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root; eigenvalues below 1e-12 of the largest are dropped."""
-    evals, evecs = _eigh_psd(np.asarray(psi, dtype=float))
-    cutoff = 1e-12 * max(float(evals[-1]), 0.0)
-    inv = np.where(evals > cutoff, 1.0 / np.sqrt(np.maximum(evals, cutoff)), 0.0)
-    root = (evecs * inv) @ evecs.T
-    return 0.5 * (root + root.T)
+    return _gram_roots(psi)[1]
 
 
 def smooth_curves(values: np.ndarray, grid: np.ndarray,
@@ -260,7 +258,7 @@ def _geometry(systems: tuple[BasisSystem, ...]) -> _Geometry:
     geometry = _Geometry(*(np.zeros((slices[-1].stop,) * 2) for _ in _Geometry._fields))
     for sl, system in zip(slices, systems):
         gram = gram_matrix(system)
-        for mat, block in zip(geometry, (gram, sqrt_gram(gram), inv_sqrt_gram(gram))):
+        for mat, block in zip(geometry, (gram, *_gram_roots(gram))):
             mat[sl, sl] = block
     for mat in geometry:
         mat.flags.writeable = False

@@ -9,7 +9,6 @@ configuration.  Errors are reported as a single stderr line of the form
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import sys
 from dataclasses import fields, replace
@@ -22,7 +21,6 @@ from .evaluation import select_num_components
 from .fileio import (_open_input, _write_table, load_model, read_curves, read_response,
                      save_model, write_predictions)
 from .regression import _FITTERS, predict
-from .simulation import ExperimentConfig, run_experiment
 
 
 def _config_parser(default):
@@ -34,9 +32,6 @@ def _config_parser(default):
         item = type(default[0])
         return lambda s: tuple(item(part.strip()) for part in s.split(",") if part.strip())
     return type(default)
-
-
-_CONFIG_PARSERS = {f.name: _config_parser(f.default) for f in fields(ExperimentConfig)}
 
 
 def _load_tables(curves_arg: str):
@@ -146,6 +141,8 @@ def cmd_cv(args) -> int:
 
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Parse an INI experiment file with a single [experiment] section."""
+    import configparser  # here and not at the top, so that fit, predict and cv start faster
+    from .simulation import ExperimentConfig
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with _open_input(path) as handle:
@@ -155,19 +152,21 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     if "experiment" not in parser:
         raise ConfigError(f"{path}: missing [experiment] section")
     items = dict(parser["experiment"])
-    unknown = sorted(set(items) - set(_CONFIG_PARSERS))
+    parsers = {f.name: _config_parser(f.default) for f in fields(ExperimentConfig)}
+    unknown = sorted(set(items) - set(parsers))
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     kwargs = {}
     for key, raw in items.items():
         try:
-            kwargs[key] = _CONFIG_PARSERS[key](raw)
+            kwargs[key] = parsers[key](raw)
         except ValueError:
             raise ConfigError(f"{path}: invalid value for {key}: {raw!r}") from None
     return ExperimentConfig(**kwargs)
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import run_experiment
     config = load_experiment_config(args.config)
     if args.workers is not None:
         config = replace(config, workers=args.workers)

@@ -8,6 +8,7 @@ scalars come back as floats.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +165,7 @@ def l1_median(points: np.ndarray) -> np.ndarray:
     Coincident points are handled by the standard correction: when the
     iterate sits on a data point, the pull of the remaining points is
     balanced against that point's multiplicity, so the iteration cannot
-    stall at a non-optimal vertex.
+    stall at a non-optimal vertex.  Stopping at the iteration cap issues a ``RuntimeWarning``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
@@ -205,6 +206,9 @@ def l1_median(points: np.ndarray) -> np.ndarray:
         m = m_new
         if step < _L1_TOL * spread:
             break
+    else:
+        warnings.warn(f"l1_median stopped at its iteration cap ({_L1_MAX_ITER}); last step "
+                      f"{step / spread:.3g} of the spread", RuntimeWarning, stacklevel=2)
     return m
 
 

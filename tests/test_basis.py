@@ -207,6 +207,13 @@ class TestSqrtGram:
         with pytest.raises(ValueError):
             sqrt_gram(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_matrix_has_zero_roots_without_warning(self):
+        """Every eigenvalue is dropped from the inverse, so nothing divides by 0."""
+        zero = np.zeros((3, 3))
+        assert np.array_equal(sqrt_gram(zero), zero)
+        assert np.array_equal(inv_sqrt_gram(zero), zero)
+
 
 class TestSmoothing:
     def test_exact_recovery(self):
@@ -287,6 +294,30 @@ class TestBuildDesign:
             build_design(curves, grids, systems)
 
 
+def _frozen_eigh_psd(mat):
+    sym = 0.5 * (mat + mat.T)
+    evals, evecs = np.linalg.eigh(sym)
+    top = max(float(evals[-1]), 0.0)
+    if evals[0] < -1e-8 * max(top, 1.0):
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {evals[0]:.3e}")
+    return np.maximum(evals, 0.0), evecs
+
+
+def _frozen_sqrt_gram(psi):
+    """``sqrt_gram`` as written when each root ran its own eigendecomposition."""
+    evals, evecs = _frozen_eigh_psd(np.asarray(psi, dtype=float))
+    root = (evecs * np.sqrt(evals)) @ evecs.T
+    return 0.5 * (root + root.T)
+
+
+def _frozen_inv_sqrt_gram(psi):
+    evals, evecs = _frozen_eigh_psd(np.asarray(psi, dtype=float))
+    cutoff = 1e-12 * max(float(evals[-1]), 0.0)
+    inv = np.where(evals > cutoff, 1.0 / np.sqrt(np.maximum(evals, cutoff)), 0.0)
+    root = (evecs * inv) @ evecs.T
+    return 0.5 * (root + root.T)
+
+
 class TestGeometryPerLayout:
     """The Gram matrix and its roots are derived once per basis layout."""
 
@@ -302,9 +333,10 @@ class TestGeometryPerLayout:
     def test_computed_on_first_design_only(self, monkeypatch, tmp_path):
         """Five designs, a saved and reloaded model and a prediction on one
         layout, each with new but equal ``BasisSystem`` objects, run the
-        Gram routines only inside the first ``build_design``."""
+        Gram routines only inside the first ``build_design``, with one
+        eigendecomposition per block for both roots."""
         calls = Counter()
-        for name in ("gram_matrix", "sqrt_gram", "inv_sqrt_gram"):
+        for name in ("gram_matrix", "_gram_roots"):
             def counted(*args, _name=name, _fn=getattr(basis, name)):
                 calls[_name] += 1
                 return _fn(*args)
@@ -316,7 +348,7 @@ class TestGeometryPerLayout:
             curves, grids, systems = self._sample(domains, seed)
             design = build_design(curves, grids, systems)
             after.append(dict(calls))
-        assert after == [{"gram_matrix": 2, "sqrt_gram": 2, "inv_sqrt_gram": 2}] * 5
+        assert after == [{"gram_matrix": 2, "_gram_roots": 2}] * 5
         y = np.random.default_rng(9).normal(size=design.n)
         path = tmp_path / "model.json"
         save_model(path, fit_fpls(design, y, 2))
@@ -345,6 +377,32 @@ class TestGeometryPerLayout:
         for got, root in zip(geometry, (None, sqrt_gram, inv_sqrt_gram)):
             want = block_diag(*[g if root is None else root(g) for g in grams])
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", [
+        [((0.0, 1.0), 4, 4)],
+        [((0.0, 1.0), 20, 4)] * 3,
+        [((-2.0, 3.0), 7, 1), ((0.0, 1e-3), 12, 5)],
+        [((0.0, 1.0), 6, 4), ((-1.0, 2.0), 9, 3), ((0.0, 5.0), 4, 2)],
+    ])
+    def test_blocks_match_the_public_roots(self, layout):
+        """One eigendecomposition per block gives the bytes of ``sqrt_gram``
+        and ``inv_sqrt_gram``, which keep those of their two-decomposition
+        form."""
+        systems = tuple(build_bspline_system(d, k, order=o) for d, k, o in layout)
+        geometry = basis._geometry(systems)
+        stop = 0
+        for system in systems:
+            block = slice(stop, stop + system.num_basis)
+            stop = block.stop
+            gram = gram_matrix(system)
+            for got, public, frozen in zip(geometry, (None, sqrt_gram, inv_sqrt_gram),
+                                           (None, _frozen_sqrt_gram, _frozen_inv_sqrt_gram)):
+                want = gram if public is None else public(gram)
+                assert got[block, block].tobytes() == want.tobytes()
+                if frozen is not None:
+                    assert want.tobytes() == frozen(gram).tobytes()
+            for mat in geometry:
+                assert not mat[block, stop:].any() and not mat[stop:, block].any()
 
     def test_shared_matrices_are_read_only(self):
         curves, grids, systems = self._sample([(0.0, 1.0), (0.0, 2.0)], 1)

@@ -7,6 +7,7 @@ bit, or turns a -0.0 into +0.0 where the original did not, fails.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,20 @@ class TestL1Median:
         assert _bits(l1_median(pts)) == _bits(_frozen_l1_median(pts))
         pts = np.asfortranarray(rng.standard_normal((160, 5)))
         assert _bits(l1_median(pts)) == _bits(_frozen_l1_median(pts))
+
+    def test_cap_warns_and_returns_the_last_iterate(self, monkeypatch):
+        pts = np.random.default_rng(5).standard_normal((160, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l1_median(pts)
+        monkeypatch.setattr(robust, "_L1_MAX_ITER", 3)
+        with pytest.warns(RuntimeWarning, match=r"iteration cap \(3\); last step [0-9.e-]+ of"):
+            got = l1_median(pts)
+        want = np.median(pts, axis=0)
+        for _ in range(3):
+            inv = 1.0 / np.linalg.norm(pts - want, axis=1)
+            want = (pts * inv[:, None]).sum(axis=0) / inv.sum()
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def _frozen_weighted_simpls_fit(X, y, w, h):
