@@ -14,7 +14,8 @@ _EXPORTS = {
               "evaluate_basis", "gram_from_function", "gram_matrix", "inv_sqrt_gram",
               "smooth_curves", "sqrt_gram"),
     "errors": ("BreakdownError", "ConfigError", "DegenerateScaleError",
-               "EfficiencyUndefinedError", "InputError", "NumericalError", "RfplsError"),
+               "EfficiencyUndefinedError", "InputError", "NumericalError", "RfplsError",
+               "SpatialMedianCapWarning"),
     "evaluation": ("CVReport", "iqr_outliers", "risee", "select_num_components",
                    "trimmed_mspe", "trimmed_r2"),
     "fileio": ("CurveTable", "load_model", "read_curves", "read_response", "save_model",

@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 import numpy as np
 
 from .basis import build_bspline_system, build_design
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, SpatialMedianCapWarning
 from .evaluation import select_num_components
 from .fileio import (_open_input, _write_table, load_model, read_curves, read_response,
                      save_model, write_predictions)
@@ -59,6 +61,27 @@ def _match_response(ids, response_path: str):
     return y
 
 
+@contextmanager
+def _median_caps_counted():
+    """Report the spatial medians stopped at their iteration cap as one
+    ``rfpls: warning:`` line with their count, not as a warning each; show
+    every other warning as Python shows it."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SpatialMedianCapWarning)
+            yield
+    finally:
+        capped = 0
+        for w in caught:
+            if issubclass(w.category, SpatialMedianCapWarning):
+                capped += 1
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+        if capped:
+            print(f"rfpls: warning: spatial median stopped at its iteration cap in {capped} "
+                  f"call{'s' if capped > 1 else ''}", file=sys.stderr)
+
+
 def _print_cv_table(report) -> None:
     for h, score in zip(report.grid, report.scores):
         marker = "  <- chosen" if h == report.chosen_h else ""
@@ -69,6 +92,7 @@ def _print_cv_table(report) -> None:
         print(f"  skipped cells: {cells}")
 
 
+@_median_caps_counted()
 def cmd_fit(args) -> int:
     _, tables, ids = _load_tables(args.curves)
     y = _match_response(ids, args.response)
@@ -122,6 +146,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
+@_median_caps_counted()
 def cmd_cv(args) -> int:
     _, tables, ids = _load_tables(args.curves)
     y = _match_response(ids, args.response)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the library and the command line tool."""
+"""Exception and warning classes shared by the library and the command line tool."""
 
 
 class RfplsError(Exception):
@@ -27,3 +27,7 @@ class BreakdownError(NumericalError):
 
 class EfficiencyUndefinedError(NumericalError):
     """The efficiency factor is undefined because every residual was rejected."""
+
+
+class SpatialMedianCapWarning(RuntimeWarning):
+    """``l1_median`` stopped at its iteration cap before its step fell below tolerance."""

@@ -10,12 +10,14 @@ rather than silently misload.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import reprlib
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -47,6 +49,77 @@ def _parse_float(text: str, path: str, line: int, column: int) -> float:
         raise InputError(f"{path}: line {line}, column {column}: "
                          f"{text!r} is not finite")
     return value
+
+
+# 10**0 .. 10**27.  Each is 5**k * 2**k with 5**k < 2**63, so every entry is exact
+# in an x87 long double, with its 64-bit significand, and entries up to 10**22 in a float64.
+_POW10 = np.ldexp(np.array([5**k for k in range(28)], dtype=np.longdouble), np.arange(28))
+_EXTENDED = np.finfo(np.longdouble).nmant == 63
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_decimals(text: str, width: int) -> np.ndarray | None:
+    """The cells of ASCII ``text``, lines of ``width`` comma-separated cells, as
+    the doubles ``float`` gives them, one row per line; None if a line has
+    another width or a cell is not a finite number.
+
+    A cell ``[+-]digits[.digits]`` is an integer mantissa M over 10**F, F its
+    fraction digits.  With M < 2**53 and F <= 22 both are exact doubles, so one
+    division rounds correctly.  Otherwise, on x87 long doubles, both are exact
+    in 64 bits and the quotient is rounded twice, to 64 bits and then to 53;
+    that differs from one rounding only where the 64-bit quotient lies on a
+    53-bit midpoint, its low 11 bits ``0x400``.  Such cells, cells of any other
+    form, F > 27, mantissas that saturate int64 and, without x87 long doubles,
+    every cell the first division cannot take go through ``float``.
+    """
+    raw = np.frombuffer(bytearray(text, "ascii"), np.uint8)
+    marks = np.flatnonzero(raw - ord("0") > 9)  # every byte that is not a digit
+    kinds = raw[marks]
+    newline, dot = kinds == ord("\n"), kinds == ord(".")
+    cut = newline | (kinds == ord(","))
+    sign = (kinds == ord("+")) | (kinds == ord("-"))
+    # np.compress, as boolean indexing is several times slower at these sizes
+    cuts = np.compress(cut, marks)
+    count = cuts.size + 1
+    if count % width or (np.compress(cut, newline) != (np.arange(1, count) % width == 0)).any():
+        return None
+    starts = np.concatenate(([0], cuts + 1))
+    ends = np.concatenate((cuts, [raw.size]))
+    if (ends == starts).any():
+        return None
+    cells = np.cumsum(cut, dtype=np.int32)  # the cell of each mark that is not a cut
+    dots, dot_cells = np.compress(dot, marks), np.compress(dot, cells)
+    signs, sign_cells = np.compress(sign, marks), np.compress(sign, cells)
+    dot_count, sign_count = (np.bincount(c, minlength=count) for c in (dot_cells, sign_cells))
+    slow = (dot_count > 1) | (ends - starts - dot_count - sign_count < 1)  # or no digit
+    slow[sign_cells[signs != starts[sign_cells]]] = True
+    slow[np.compress(~(cut | dot | sign), cells)] = True
+    if slow.any():
+        raw[np.repeat(slow, ends - starts + 1)[:raw.size]] = ord("0")
+    raw[cuts] = ord(",")  # with zeros over the slow cells and the dots deleted, a list of integers
+    fraction = np.zeros(count, np.intp)
+    fraction[dot_cells] = ends[dot_cells] - dots - 1
+    mantissa = np.fromstring(raw.tobytes().replace(b".", b""), np.int64, sep=",")
+    slow |= (mantissa == _INT64.max) | (mantissa == _INT64.min)
+    values, done = np.empty(count), np.zeros(count, bool)
+    exact = np.flatnonzero(~slow & (np.abs(mantissa) < 2**53) & (fraction <= 22))
+    values[exact] = mantissa[exact] / _POW10[:23].astype(np.float64)[fraction[exact]]
+    done[exact] = True
+    if _EXTENDED:
+        wide = np.flatnonzero(~slow & ~done & (fraction <= 27))
+        quotient = mantissa[wide].astype(np.longdouble) / _POW10[fraction[wide]]
+        off_midpoint = (quotient.view(np.uint16)[::quotient.itemsize // 2] & 0x7FF) != 0x400
+        wide, quotient = np.compress(off_midpoint, wide), np.compress(off_midpoint, quotient)
+        values[wide] = quotient
+        done[wide] = True
+    zeros = np.flatnonzero(done & (mantissa == 0))  # a zero mantissa has lost its sign
+    values[zeros[raw[starts[zeros]] == ord("-")]] = -0.0
+    for i in np.flatnonzero(~done).tolist():
+        try:
+            values[i] = float(text[starts[i]:ends[i]])
+        except ValueError:
+            return None
+    return values.reshape(-1, width) if np.isfinite(values).all() else None
 
 
 def _parse_cells(path: str, rows: list[tuple[int, list[str]]], start: int) -> np.ndarray:
@@ -119,14 +192,66 @@ def _write_table(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_rows(path: str) -> tuple[list[str], tuple[str, ...], list[tuple[int, list[str]]]]:
-    """Header, sample ids and numbered data rows of a CSV table.
+_CHUNK_CELLS = 8192  # cells per call of the decimal parser, which bounds its memory
+
+
+def _read_plain(lines: list[str]) -> tuple[list[str], tuple[str, ...], np.ndarray] | None:
+    """Header, sample ids and values of a plain table, from its lines, or None.
+
+    A table is plain when ``csv`` would split each line at every comma: it
+    is ASCII without quotes, its lines all end in LF or all in CRLF, and
+    each data line is as wide as the header.  None too if the ids repeat or
+    a cell is not a finite number, as in a blank row, which ``csv`` skips.
+    """
+    if lines[-1] == "":
+        lines = lines[:-1]
+    if len(lines) < 2 or not all(line.isascii() and '"' not in line and "\r" not in line
+                                 and "\n" not in line for line in lines):
+        return None
+    header = lines[0].split(",")
+    width = len(header) - 1
+    if not width:
+        return None
+    ids, values = [], np.empty((len(lines) - 1, width))
+    step = max(1, _CHUNK_CELLS // width)
+    for i in range(1, len(lines), step):
+        rests = []
+        for line in lines[i:i + step]:
+            sid, _, rest = line.partition(",")
+            ids.append(sid.strip())
+            rests.append(rest)
+        chunk = _parse_decimals("\n".join(rests), width)
+        if chunk is None:
+            return None
+        values[i - 1:i - 1 + len(rests)] = chunk
+    if len(set(ids)) != len(ids):
+        return None
+    return header, tuple(ids), values
+
+
+def _read_rows(path: str) -> tuple[list[str], tuple[str, ...], Callable[[], np.ndarray]]:
+    """Header, sample ids and a parser of the numeric cells, ``1:``, of a CSV
+    table's data rows.
 
     Blank rows are skipped.  Every data row must have as many cells as
-    the header, and the ids in the first cells must be unique.
+    the header, and the ids in the first cells must be unique.  The caller
+    checks the header before it parses the cells, so a bad header is
+    reported before a bad cell; a plain table (see ``_read_plain``) has
+    no bad cell and is parsed here already.
     """
     with _open_input(path) as handle:
-        rows = list(csv.reader(handle))
+        text = handle.read()
+    newline = "\r\n" if "\r" in text else "\n"
+    lines = text.split(newline)
+    del text  # the lines hold the same characters; keeping both would double the peak
+    plain = _read_plain(lines)
+    if plain is not None:
+        header, ids, values = plain
+        return header, ids, lambda: values
+    # csv gets the lines a file opened with newline="" gives, at less memory than a StringIO.
+    data = io.BytesIO(newline.join(lines).encode())
+    del lines
+    rows = list(csv.reader(io.TextIOWrapper(data, encoding="utf-8", newline="")))
     if not rows:
         raise InputError(f"{path}: file is empty")
     header = rows[0]
@@ -141,12 +266,12 @@ def _read_rows(path: str) -> tuple[list[str], tuple[str, ...], list[tuple[int, l
         raise InputError(f"{path}: no data rows")
     if len(set(ids)) != len(ids):
         raise InputError(f"{path}: sample ids are not unique")
-    return header, ids, body
+    return header, ids, partial(_parse_cells, path, body, 1)
 
 
 def read_curves(path: str) -> CurveTable:
     """Read one predictor's curve table."""
-    header, ids, body = _read_rows(path)
+    header, ids, parse_body = _read_rows(path)
     if len(header) < 3:
         raise InputError(f"{path}: need a header 'id,<t1>,<t2>,...' with at "
                          "least 2 grid points")
@@ -155,7 +280,7 @@ def read_curves(path: str) -> CurveTable:
     grid = _parse_cells(path, [(1, header)], 1)[0]
     if (np.diff(grid) <= 0).any():
         raise InputError(f"{path}: grid header values must be strictly increasing")
-    return CurveTable(sample_ids=ids, grid=grid, values=_parse_cells(path, body, 1))
+    return CurveTable(sample_ids=ids, grid=grid, values=parse_body())
 
 
 def write_curves(path: str, table: CurveTable) -> None:
@@ -166,10 +291,10 @@ def write_curves(path: str, table: CurveTable) -> None:
 
 def read_response(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Read an ``id,y`` response table."""
-    header, ids, body = _read_rows(path)
+    header, ids, parse_body = _read_rows(path)
     if [cell.strip() for cell in header] != ["id", "y"]:
         raise InputError(f"{path}: header must be 'id,y', got {','.join(header)!r}")
-    return ids, _parse_cells(path, body, 1).ravel()
+    return ids, parse_body().ravel()
 
 
 def write_response(path: str, ids, y: np.ndarray) -> None:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakdownError, DegenerateScaleError, EfficiencyUndefinedError
+from .errors import (BreakdownError, DegenerateScaleError, EfficiencyUndefinedError,
+                     SpatialMedianCapWarning)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,8 @@ def l1_median(points: np.ndarray) -> np.ndarray:
             break
     else:
         warnings.warn(f"l1_median stopped at its iteration cap ({_L1_MAX_ITER}); last step "
-                      f"{step / spread:.3g} of the spread", RuntimeWarning, stacklevel=2)
+                      f"{step / spread:.3g} of the spread", SpatialMedianCapWarning,
+                      stacklevel=2)
     return m
 
 

@@ -3,15 +3,17 @@
 import csv
 import functools
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rfpls
-from rfpls import regression, robust
+from rfpls import cli, regression, robust, robust_pls
 from rfpls.basis import build_bspline_system, evaluate_basis
 from rfpls.cli import load_experiment_config, main
 from rfpls.errors import ConfigError
@@ -130,6 +132,36 @@ class TestFitPredictRoundTrip:
         warnings = [ln for ln in captured.err.splitlines() if ln]
         assert warnings == [f"rfpls: warning: {stage} stopped at its iteration cap (1) "
                             "without converging"]
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_capped_spatial_medians_are_counted_on_one_line(self, tmp_path, capsys,
+                                                            monkeypatch, command):
+        """Spatial medians stopped at their cap add one ``rfpls: warning:`` line
+        with their count, not Python's warning per call; other warnings pass."""
+        curves, response, _ = _make_tables(tmp_path, seed=2)
+        calls = []
+        monkeypatch.setattr(robust, "_L1_MAX_ITER", 1)
+        monkeypatch.setattr(robust_pls, "l1_median",
+                            lambda points: calls.append(1) or robust.l1_median(points))
+        select = cli.select_num_components
+
+        def select_with_a_warning(*args, **kwargs):
+            warnings.warn("unrelated", UserWarning)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "select_num_components", select_with_a_warning)
+        argv = [command, "--method", "rfpls", "--curves", curves, "--response", response,
+                "--num-basis", "8", "--max-components", "2"]
+        with pytest.warns(UserWarning, match="unrelated") as shown:
+            assert main(argv + (["--out", str(tmp_path / "model.json")]
+                                if command == "fit" else [])) == 0
+        assert [w.category for w in shown] == [UserWarning]
+        err = capsys.readouterr().err
+        lines = [ln for ln in err.splitlines() if "spatial median" in ln or "Warning" in ln]
+        assert len(lines) == 1, err
+        count = re.fullmatch(r"rfpls: warning: spatial median stopped at its iteration cap "
+                             r"in (\d+) calls?", lines[0])
+        assert count and 1 <= int(count[1]) <= len(calls)
 
     def test_rerun_into_the_same_outputs_is_byte_identical(self, tmp_path, capsys):
         """A re-run replaces its outputs with the same bytes, not appended or mixed ones."""

@@ -4,7 +4,9 @@ import ast
 import json
 import os
 import re
-from dataclasses import fields
+import tracemalloc
+from dataclasses import astuple, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +254,246 @@ class TestBulkParsing:
         with pytest.raises(InputError) as info:
             read_curves(path)
         assert str(info.value) == message
+
+
+def _floats_or_none(cells):
+    """``float`` of each cell, or None if one is not a finite number."""
+    try:
+        values = np.array([float(cell) for cell in cells])
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _assert_parsed_like_float(cells, width):
+    """The decimal parser gives ``float``'s bits for cells on lines of ``width``,
+    or None where ``float`` fails or gives a value that is not finite; with the
+    extended-precision path, where the platform has one, and without it."""
+    text = "\n".join(",".join(cells[i:i + width]) for i in range(0, len(cells), width))
+    expected = _floats_or_none(cells)
+    for extended in sorted({fileio._EXTENDED, False}):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_EXTENDED", extended)
+            got = fileio._parse_decimals(text, width)
+        if expected is None:
+            assert got is None
+        else:
+            assert got.shape == (len(cells) // width, width)
+            assert got.tobytes() == expected.tobytes(), (extended, cells)
+
+
+def _near_midpoints(draws, seed):
+    """19-significant-digit decimals within 2**-64 of the midpoint d + 2**-53
+    of two neighbouring doubles, for d drawn from [1, 2)."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for k in rng.integers(0, 2**52, size=draws).tolist():
+        scaled = (1 + Fraction(2 * k + 1, 2**53)) * 10**18
+        mantissa = round(scaled)
+        if abs(mantissa - scaled) < Fraction(10**18, 2**64):
+            cells.append(f"{mantissa // 10**18}.{mantissa % 10**18:018d}")
+    return cells
+
+
+@st.composite
+def _decimal_cells(draw):
+    """``[+-]digits[.digits]`` of 1-22 digits, the dot anywhere or absent,
+    leading zeros included, sometimes with an exponent."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=22))
+    dot = draw(st.integers(0, len(digits)))
+    return (draw(st.sampled_from(["", "+", "-"])) + digits[:dot]
+            + draw(st.sampled_from([".", ""])) + digits[dot:]
+            + draw(st.sampled_from(["", "", "", "e5", "E-7", "e+300", "e-330"])))
+
+
+_LONG_CELLS = st.one_of(
+    st.integers(2**63 - 2, 10**30).map(str),
+    st.integers(-10**30, -(2**63 - 2)).map(str),
+    st.builds("{}.{}".format, st.integers(0, 99), st.text("0123456789", min_size=28,
+                                                           max_size=40)),
+    st.text("0123456789", min_size=1, max_size=5).map(lambda d: "0." + "0" * 25 + d),
+)
+_SIGNED_ZEROS = ["-0.0", "-0", "+0.000", "0", "-.0", "0.", "-000.000"]
+_OTHER_FORMS = [" 1.5 ", "1_000", "\t2", "-.5", "5.", "+.25", "1e5"]
+_NOT_NUMBERS = ["", "+", "-", ".", "-.", "1.2.3", "--1", "1-2", "+-1", "1e", "nan",
+                "inf", "-Infinity", "0x10", " ", "1__0", "1e400", "\x1c1"]
+
+
+class TestDecimalParser:
+    """The vectorized decimal parser gives the bits ``float`` gives."""
+
+    def test_decimals_next_to_a_midpoint_round_once(self):
+        cells = _near_midpoints(3000, seed=0)
+        assert len(cells) >= 200
+        cells = cells[:len(cells) // 10 * 10]
+        _assert_parsed_like_float(cells, 10)
+        if fileio._EXTENDED:
+            # the cells do catch a parser that rounds twice without the midpoint guard
+            mantissas = np.array([int(cell.replace(".", "")) for cell in cells])
+            twice = (mantissas.astype(np.longdouble) / np.longdouble(10**18)).astype(float)
+            assert (twice != _floats_or_none(cells)).sum() > len(cells) // 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_decimal_cells(), _LONG_CELLS, st.sampled_from(_SIGNED_ZEROS),
+                              st.sampled_from(_OTHER_FORMS)), min_size=1, max_size=40),
+           st.integers(1, 4))
+    def test_cells_equal_float_bit_for_bit(self, cells, width):
+        _assert_parsed_like_float(cells * width, width)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_decimal_cells(), min_size=1, max_size=12), st.data())
+    def test_a_cell_that_is_not_a_number_fails_the_text(self, cells, data):
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(_NOT_NUMBERS))
+        assert fileio._parse_decimals(",".join(cells), len(cells)) is None
+
+    @pytest.mark.parametrize("text,width", [
+        ("1,2\n3", 2), ("1,2\n3,4,5", 2), ("1,2,3\n4", 2), ("1\n2,3", 1), ("1,2\n\n3,4", 2),
+    ])
+    def test_lines_of_another_width_fail_the_text(self, text, width):
+        assert fileio._parse_decimals(text, width) is None
+
+
+def _read_outcome(read, path):
+    """What ``read(path)`` gives, as bytes and ids, or the text of its input error."""
+    try:
+        ids, *arrays = astuple(read(path)) if read is read_curves else read(path)
+    except InputError as exc:
+        return str(exc)
+    return ids, [(a.shape, a.tobytes()) for a in arrays]
+
+
+def _read_both_ways(read, path):
+    """``_read_outcome`` as the reader runs, and with every table on the csv path."""
+    plain = _read_outcome(read, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_read_plain", lambda lines: None)
+        return plain, _read_outcome(read, path)
+
+
+_ID_FORMS = st.sampled_from(["s{}", " s{} ", "s{}\x0c", "\x1cs{}", "s-{}"])
+_TABLE_CELLS = st.one_of(*[_FINITE.map(repr)] * 6, _decimal_cells(),
+                         st.sampled_from([" 2.5 ", "3\x0c", "1_0", "+4", "-0.0"]))
+_FLAWS = st.sampled_from(["blank row", "short row", "long row", "line end", "CR in a cell",
+                          "quoted cell", "quoted comma", "non-ASCII id", "non-ASCII cell",
+                          "repeated id", "blank id", "bad cell"])
+
+
+@st.composite
+def _table_texts(draw, header):
+    """A table of ``header`` and 0-5 rows, with LF or CRLF line ends and with or
+    without a final newline; ids with spaces, ``\x0c`` and ``\x1c``.  Half the
+    tables have up to two flaws that send them to the csv path: blank,
+    whitespace-only, comma-only, short and long rows, a mixed line end or a
+    lone CR at a line end or in a cell, quoted and non-ASCII cells, repeated
+    and blank ids, a bad cell."""
+    width = len(header) - 1
+    rows = [list(header)]
+    for i in range(draw(st.integers(0, 5))):
+        rows.append([draw(_ID_FORMS).format(i)] + [draw(_TABLE_CELLS) for _ in range(width)])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [end] * len(rows)
+    for flaw in draw(st.lists(_FLAWS, max_size=2)) if draw(st.booleans()) else []:
+        at = draw(st.integers(0, len(rows) - 1))
+        cell = draw(st.integers(0, len(rows[at]) - 1))
+        if flaw == "blank row":
+            blank = draw(st.sampled_from(["", "   ", " "]))
+            rows.insert(at + 1, [blank] * draw(st.integers(1, width + 1)))
+            ends.insert(at + 1, end)
+        elif flaw == "short row":
+            rows[at] = rows[at][:-1]
+        elif flaw == "long row":
+            rows[at] = rows[at] + ["1.0"]
+        elif flaw == "line end":
+            ends[at] = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        elif flaw == "CR in a cell":
+            rows[at][cell] += "\r" + draw(st.sampled_from(["", "5", ",5"]))
+        elif flaw == "quoted cell":
+            rows[at][cell] = f'"{rows[at][cell]}"'
+        elif flaw == "quoted comma":
+            rows[at][cell] = '"1,5"'
+        elif flaw == "non-ASCII id":
+            rows[at][0] = "café" + rows[at][0]
+        elif flaw == "non-ASCII cell":
+            rows[at][cell] = "½"
+        elif flaw == "repeated id":
+            rows[at][0] = rows[-1][0]
+        elif flaw == "blank id":
+            rows[at][0] = " "
+        else:
+            rows[at][cell] = draw(st.sampled_from(["", "oops", "inf", "1e400", "nan", "1.2.3"]))
+    text = "".join(",".join(row) + sep for row, sep in zip(rows, ends))
+    return text if draw(st.booleans()) else text.removesuffix(ends[-1])
+
+
+_GRIDS = st.sampled_from([["id", "0.0", "0.5", "1.0"], ["id", "0", "1"], [" id ", "0.25", "2.5"]]
+                         * 3 + [["time", "0.0", "1.0"], ["id", "1.0", "0.5"], ["id", "0.5"],
+                                ["id", "0.0", "x", "1.0"]])
+
+
+class TestPlainReader:
+    """Tables read without ``csv`` give the bytes, or the error text, of the ``csv`` path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GRIDS.flatmap(_table_texts))
+    def test_curve_tables_read_as_the_csv_path_reads_them(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("table") / "c.csv"
+        path.write_bytes(text.encode("utf-8"))
+        plain, general = _read_both_ways(read_curves, path)
+        assert plain == general
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([["id", "y"], [" id", "y "], ["id", "value"]]).flatmap(_table_texts))
+    def test_responses_read_as_the_csv_path_reads_them(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("table") / "y.csv"
+        path.write_bytes(text.encode("utf-8"))
+        plain, general = _read_both_ways(read_response, path)
+        assert plain == general
+
+    @pytest.mark.parametrize("text", [
+        "id,0,1\r\ns1,1\r,2\r\n", "id,0,1\r\ns1,1,2\r", "id,0,1\ns1,1,2\r",
+        "id,0,1\r\ns1,1,2\ns2,3,4\r\n", "id,0,1\ns1,\"1\",2\n", "id,0,1\ns1,\"1,5\"\n",
+        "id,0,1\ns1,1,2\n\ns2,3,4\n", "id,0,1\ns1,1,2\n , , \n", "id,0,1\ns1,1,2\n,,\n",
+        "id,0,1\ncaf\u00e9,1,2\n", "id,0,1\ns1,1,2\ns1,3,4\n", "id,0,1\n ,1,2\n",
+        "id,0,1\ns1,1,2,3\n", "id,0,1\ns1,1\n", "id,0,1\n", "", "\n", "id\ns1\n",
+        "id,0,1\ns1,1,\x0c2\n", "id,0,1\ns1,1,\x1c2\n", "id,0,1\ns1,1,2\x00\n",
+    ])
+    def test_tables_csv_splits_otherwise_read_as_it_reads_them(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode())
+        plain, general = _read_both_ways(read_curves, path)
+        assert plain == general
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_plain_tables_are_read_without_csv(self, tmp_path, monkeypatch, end, final):
+        path = tmp_path / "c.csv"
+        text = end.join(["id,0.0,0.5", "a,-0.0,1e-300", "b,0.1,+7"]) + (end if final else "")
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(fileio.csv, "reader", None)
+        table = read_curves(path)
+        assert table.sample_ids == ("a", "b")
+        assert table.values.tobytes() == np.array([[-0.0, 1e-300], [0.1, 7.0]]).tobytes()
+
+    def test_plain_reader_peaks_below_the_csv_path(self, tmp_path, monkeypatch):
+        """The decimal parser works in chunks, so reading a 200x200 table holds
+        less memory at its peak than the csv path's rows of cells do."""
+        path = tmp_path / "c.csv"
+        write_curves(path, CurveTable(tuple(f"s{i}" for i in range(200)),
+                                      np.linspace(0.0, 1.0, 200),
+                                      np.random.default_rng(0).normal(size=(200, 200))))
+
+        def peak():
+            read_curves(path)
+            tracemalloc.start()
+            try:
+                read_curves(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        plain = peak()
+        monkeypatch.setattr(fileio, "_read_plain", lambda lines: None)
+        assert plain <= peak()
 
 
 def _fitted_pair(seed=4, n=40):
