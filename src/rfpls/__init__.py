@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 # name is cached here: a rebinding in its module is the only binding there is.
 _EXPORTS = {
     "basis": ("BasisSystem", "MultiFunctionalDesign", "build_bspline_system", "build_design",
-              "evaluate_basis", "gram_from_function", "gram_matrix", "inv_sqrt_gram",
-              "smooth_curves", "sqrt_gram"),
+              "evaluate_basis", "gram_matrix", "inv_sqrt_gram", "smooth_curves", "sqrt_gram"),
     "errors": ("BreakdownError", "ConfigError", "DegenerateScaleError",
                "EfficiencyUndefinedError", "InputError", "NumericalError", "RfplsError",
                "SpatialMedianCapWarning"),
@@ -22,9 +21,9 @@ _EXPORTS = {
                "write_curves", "write_predictions", "write_response"),
     "regression": ("FittedSofr", "RobustReport", "coefficient_functions", "fit_fpc",
                    "fit_fpls", "fit_rfpls", "predict", "predict_from_design"),
-    "robust": ("DEFAULT_HAMPEL", "HampelConstants", "MEstimate", "bisquare_weight",
-               "efficiency_factor", "hampel_f", "hampel_weight", "l1_median", "m_estimate",
-               "mad_scale", "select_tuning", "tukey_kappa", "tukey_rho"),
+    "robust": ("MEstimate", "bisquare_weight", "efficiency_factor", "hampel_f", "hampel_weight",
+               "l1_median", "m_estimate", "mad_scale", "select_tuning", "tukey_kappa",
+               "tukey_rho"),
     "robust_pls": ("RobustPLSFit", "initial_weights", "prm_fit"),
     "simpls": ("PLSFit", "pls_predict", "simpls_fit", "weighted_simpls_fit"),
     "simulation": ("ExperimentConfig", "ExperimentResult", "SimDataset", "contaminate",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -121,39 +121,23 @@ def evaluate_basis(system: BasisSystem, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_from_function(basis_fn: Callable[[np.ndarray], np.ndarray],
-                       breakpoints: np.ndarray, num_points: int) -> np.ndarray:
-    """Gram matrix of a generic basis by Gauss-Legendre panels.
-
-    ``basis_fn`` maps points of shape ``(q,)`` to values of shape
-    ``(q, K)``; integration runs over each panel between consecutive
-    breakpoints with ``num_points`` nodes, so the result is exact for
-    piecewise polynomials of degree below ``num_points`` on the panels.
-    """
-    bps = np.asarray(breakpoints, dtype=float)
-    if bps.ndim != 1 or bps.size < 2 or (np.diff(bps) <= 0).any():
-        raise ValueError("breakpoints must be strictly increasing with at least 2 entries")
-    if num_points < 1:
-        raise ValueError(f"num_points must be positive, got {num_points}")
-    nodes, weights = leggauss(num_points)
-    gram = None
-    for lo, hi in zip(bps[:-1], bps[1:]):
-        half = 0.5 * (hi - lo)
-        vals = basis_fn(0.5 * (lo + hi) + half * nodes)
-        contrib = (vals * (half * weights)[:, None]).T @ vals
-        gram = contrib if gram is None else gram + contrib
-    return 0.5 * (gram + gram.T)
-
-
 def gram_matrix(system: BasisSystem) -> np.ndarray:
     """Gram matrix ``Psi[k, l] = int psi_k(t) psi_l(t) dt`` of the basis.
 
-    Exact up to rounding: products of order-``o`` splines have polynomial
-    degree ``2(o - 1)`` on each knot span, within reach of an ``o``-point
-    Gauss rule.
+    Summed over the knot spans with an ``o``-point Gauss-Legendre rule on
+    each.  Exact up to rounding: products of order-``o`` splines have
+    polynomial degree ``2(o - 1)`` on each knot span, within reach of
+    that rule.
     """
-    return gram_from_function(lambda x: evaluate_basis(system, x),
-                              np.unique(system.knots), system.order)
+    bps = np.unique(system.knots)
+    nodes, weights = leggauss(system.order)
+    gram = None
+    for lo, hi in zip(bps[:-1], bps[1:]):
+        half = 0.5 * (hi - lo)
+        vals = evaluate_basis(system, 0.5 * (lo + hi) + half * nodes)
+        contrib = (vals * (half * weights)[:, None]).T @ vals
+        gram = contrib if gram is None else gram + contrib
+    return 0.5 * (gram + gram.T)
 
 
 def _gram_roots(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -139,6 +139,8 @@ def select_num_components(design: MultiFunctionalDesign, y: np.ndarray,
     """
     if method not in _FITTERS:
         raise ValueError(f"method must be one of {sorted(_FITTERS)}, got {method!r}")
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     y = np.asarray(y, dtype=float).ravel()
     n = design.n
     if y.size != n:

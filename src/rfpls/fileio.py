@@ -251,7 +251,10 @@ def _read_rows(path: str) -> tuple[list[str], tuple[str, ...], Callable[[], np.n
     # csv gets the lines a file opened with newline="" gives, at less memory than a StringIO.
     data = io.BytesIO(newline.join(lines).encode())
     del lines
-    rows = list(csv.reader(io.TextIOWrapper(data, encoding="utf-8", newline="")))
+    try:
+        rows = list(csv.reader(io.TextIOWrapper(data, encoding="utf-8", newline="")))
+    except csv.Error as exc:
+        raise InputError(f"{path}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: file is empty")
     header = rows[0]

@@ -101,20 +101,18 @@ def fit_fpls(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr
 
 
 def fit_rfpls(design: MultiFunctionalDesign, y: np.ndarray, h: int,
-              c: float | None = None, weight_fn=None, m_weight_fn=None,
               start_weights: np.ndarray | None = None) -> FittedSofr:
     """Robust functional partial least squares with ``h`` components.
 
     Reweighted SIMPLS extracts outlier-resistant scores; the response is
     then M-regressed on those scores with a bisquare whose cutoff ``c``
-    is tuned on the score residuals unless given.  ``weight_fn`` and
-    ``m_weight_fn`` are testing hooks for the two weighting stages;
-    ``start_weights`` are passed to ``prm_fit``.
+    is tuned on the score residuals.  ``start_weights`` are passed to
+    ``prm_fit``.
     """
     y = np.asarray(y, dtype=float).ravel()
-    rfit = prm_fit(design.A, y, h, weight_fn=weight_fn, start_weights=start_weights)
-    cutoff = float(c) if c is not None else select_tuning(rfit.scores_r, y)
-    mest = m_estimate(rfit.scores_r, y, cutoff, weight_fn=m_weight_fn)
+    rfit = prm_fit(design.A, y, h, start_weights=start_weights)
+    cutoff = select_tuning(rfit.scores_r, y)
+    mest = m_estimate(rfit.scores_r, y, cutoff)
     theta = rfit.W_r @ mest.delta
     intercept = mest.intercept - float(rfit.x_center @ theta)
     report = RobustReport(weights=rfit.weights, c=cutoff,

@@ -17,31 +17,19 @@ from .errors import (BreakdownError, DegenerateScaleError, EfficiencyUndefinedEr
                      SpatialMedianCapWarning)
 
 
-@dataclass(frozen=True)
-class HampelConstants:
-    """Cutoffs of the three-part redescending Hampel function.
-
-    The defaults 1.65 / 1.96 / 3.09 are roughly the 0.95, 0.975 and
-    0.999 standard normal quantiles.
-    """
-
-    c1: float = 1.65
-    c2: float = 1.96
-    c3: float = 3.09
-
-    def __post_init__(self):
-        if not (0 < self.c1 < self.c2 < self.c3):
-            raise ValueError(f"need 0 < c1 < c2 < c3, got {self.c1}, {self.c2}, {self.c3}")
-
-
-DEFAULT_HAMPEL = HampelConstants()
-
+# Cutoffs c1 < c2 < c3 of the three-part Hampel function: roughly the 0.95,
+# 0.975 and 0.999 standard normal quantiles.
+_HAMPEL = (1.65, 1.96, 3.09)
 # Weiszfeld iteration of ``l1_median``: relative step tolerance and cap.
 _L1_TOL = 1e-8
 _L1_MAX_ITER = 500
 # IRLS of ``m_estimate``: relative coefficient-move tolerance and cap.
 _M_TOL = 1e-8
 _M_MAX_ITER = 100
+# Candidate bisquare cutoffs of ``select_tuning``, and the half-width of the
+# central difference in the efficiency factor.
+_TUNING_GRID = np.linspace(1.0, 10.0, 91)
+_FD_STEP = 1e-4
 
 
 def _as_array(u) -> tuple[np.ndarray, bool]:
@@ -121,11 +109,11 @@ def _bisquare(e: np.ndarray, c: float) -> np.ndarray:
     return np.where(np.abs(e) <= c, (1.0 - z * z) ** 2, 0.0)
 
 
-def hampel_f(x, consts: HampelConstants = DEFAULT_HAMPEL):
+def hampel_f(x):
     """Three-part redescending Hampel function (odd in ``x``)."""
     arr, scalar = _as_array(x)
     ax = np.abs(arr)
-    c1, c2, c3 = consts.c1, consts.c2, consts.c3
+    c1, c2, c3 = _HAMPEL
     mag = np.select(
         [ax <= c1, ax <= c2, ax <= c3],
         [ax, c1, c1 * (c3 - ax) / (c3 - c2)],
@@ -134,7 +122,7 @@ def hampel_f(x, consts: HampelConstants = DEFAULT_HAMPEL):
     return _maybe_scalar(np.sign(arr) * mag, scalar)
 
 
-def hampel_weight(x, consts: HampelConstants = DEFAULT_HAMPEL):
+def hampel_weight(x):
     """Downweighting factor f(x)/x with the limit value 1 at x = 0.
 
     Even in ``x``, equal to 1 on [0, c1], decays to 0 at c3 and stays 0
@@ -142,7 +130,7 @@ def hampel_weight(x, consts: HampelConstants = DEFAULT_HAMPEL):
     """
     arr, scalar = _as_array(x)
     ax = np.abs(arr)
-    c1, c2, c3 = consts.c1, consts.c2, consts.c3
+    c1, c2, c3 = _HAMPEL
     # c1 / c1 is exactly 1, and clamping to [c2, c3] keeps the descending
     # piece off zero and makes it exactly 0 beyond c3; fmax maps NaN to 1.
     d = np.minimum(np.maximum(ax, c2), c3)
@@ -232,8 +220,7 @@ class MEstimate:
     weights: np.ndarray
 
 
-def m_estimate(scores: np.ndarray, y: np.ndarray, c: float,
-               weight_fn=None) -> MEstimate:
+def m_estimate(scores: np.ndarray, y: np.ndarray, c: float) -> MEstimate:
     """Tukey bisquare M-regression of ``y`` on ``scores`` with intercept.
 
     Starts from least squares, then alternates residual-MAD rescaling
@@ -242,9 +229,6 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float,
     zero residual MAD means more than half the observations are fitted
     exactly; the estimate is returned as converged with limit weights
     (1 on exact residuals, 0 elsewhere).
-
-    ``weight_fn(e, c)`` may replace the bisquare weights; passing
-    ``lambda e, c: np.ones_like(e)`` reduces the fit to least squares.
     """
     Z = np.atleast_2d(np.asarray(scores, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -257,7 +241,6 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float,
         raise ValueError(f"c must be positive, got {c}")
     if not (np.isfinite(Z).all() and np.isfinite(y).all()):
         raise ValueError("scores and y must be finite")
-    wfn = weight_fn if weight_fn is not None else _bisquare
 
     design = np.column_stack([np.ones(n), Z])
     theta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -275,7 +258,7 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float,
             weights = (resid == 0.0).astype(float)
             converged = True
             break
-        weights = np.asarray(wfn(resid / scale, c), dtype=float)
+        weights = _bisquare(resid / scale, c)
         if (weights > 0).sum() < h + 2:
             raise BreakdownError(f"only {int((weights > 0).sum())} observations kept "
                                  f"positive weight; need at least {h + 2}")
@@ -296,8 +279,7 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float,
                      converged=converged, weights=weights)
 
 
-def _efficiency_factors(e: np.ndarray, cands: np.ndarray,
-                        step: float) -> tuple[np.ndarray, np.ndarray]:
+def _efficiency_factors(e: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Efficiency factor of every cutoff in ``cands`` and whether it is defined.
 
     Scores all cutoffs in one ``(k, n)`` broadcast; a cutoff rejecting
@@ -308,7 +290,7 @@ def _efficiency_factors(e: np.ndarray, cands: np.ndarray,
     # Row-wise dot products through matmul, which sums in the same order
     # as ``kap[i] @ kap[i]``.
     denom = e.size * (kap[:, None, :] @ kap[:, :, None])[:, 0, 0]
-    slopes = (tukey_kappa(e + step, cuts) - tukey_kappa(e - step, cuts)) / (2.0 * step)
+    slopes = (tukey_kappa(e + _FD_STEP, cuts) - tukey_kappa(e - _FD_STEP, cuts)) / (2.0 * _FD_STEP)
     defined = denom != 0.0
     tau = np.full(cands.size, -np.inf)
     # Square each sum as a scalar: a scalar ``** 2`` goes through C ``pow``,
@@ -319,37 +301,34 @@ def _efficiency_factors(e: np.ndarray, cands: np.ndarray,
     return tau, defined
 
 
-def efficiency_factor(e: np.ndarray, c: float, step: float = 1e-4) -> float:
+def efficiency_factor(e: np.ndarray, c: float) -> float:
     """Empirical efficiency of the bisquare at cutoff ``c``.
 
     Computed as ``[sum dkappa/de]^2 / (n sum kappa^2)`` with a central
-    finite difference of half-width ``step``; residuals ``e`` are
+    finite difference of half-width 1e-4; residuals ``e`` are
     expected on the standardized scale.  Raises when every residual
     falls beyond ``c`` (zero denominator).
     """
     arr = np.asarray(e, dtype=float).ravel()
     if arr.size < 2:
         raise ValueError(f"need at least 2 residuals, got {arr.size}")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
-    tau, defined = _efficiency_factors(arr, np.array([float(c)]), step)
+    tau, defined = _efficiency_factors(arr, np.array([float(c)]))
     if not defined[0]:
         raise EfficiencyUndefinedError(f"all residuals fall beyond c = {c}; "
                                        "efficiency factor undefined")
     return float(tau[0])
 
 
-def select_tuning(scores: np.ndarray, y: np.ndarray,
-                  grid: np.ndarray | None = None) -> float:
+def select_tuning(scores: np.ndarray, y: np.ndarray) -> float:
     """Pick the bisquare cutoff maximizing the empirical efficiency factor.
 
     Residuals come from a least-squares fit of ``y`` on the scores (with
-    intercept) and are standardized by their MAD; candidate cutoffs
-    default to the grid 1.0, 1.1, ..., 10.0.  Candidates rejecting every
-    residual are skipped.  Ties go to the later candidate, which on an
-    increasing grid is the largest cutoff.
+    intercept) and are standardized by their MAD; the candidate cutoffs
+    are 1.0, 1.1, ..., 10.0.  Candidates rejecting every residual are
+    skipped.  Ties go to the later candidate, which on an increasing grid
+    is the largest cutoff.
     """
     Z = np.atleast_2d(np.asarray(scores, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -358,17 +337,14 @@ def select_tuning(scores: np.ndarray, y: np.ndarray,
         raise ValueError(f"scores has {n} rows but y has {y.size}")
     if n < h + 2:
         raise ValueError(f"need at least h + 2 = {h + 2} observations, got {n}")
-    cands = np.linspace(1.0, 10.0, 91) if grid is None else np.asarray(grid, dtype=float)
-    if cands.size == 0 or (cands <= 0).any():
-        raise ValueError("candidate cutoffs must be positive")
     design = np.column_stack([np.ones(n), Z])
     theta, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ theta
     scale = mad_scale(resid)
     if scale == 0.0:
         raise DegenerateScaleError("residual MAD is zero; cutoff selection undefined")
-    tau, defined = _efficiency_factors(resid / scale, cands, 1e-4)
+    tau, defined = _efficiency_factors(resid / scale, _TUNING_GRID)
     if not defined.any():
         raise EfficiencyUndefinedError("every candidate cutoff rejects all residuals")
     best = np.flatnonzero(defined & (tau == tau[defined].max()))[-1]
-    return float(cands[best])
+    return float(_TUNING_GRID[best])

@@ -21,8 +21,10 @@ from .robust import _median, _row_norms, hampel_weight, l1_median, mad_scale
 from .simpls import _weighted_simpls, weighted_simpls_fit
 
 _WEIGHT_FLOOR = 1e-6
-# Relative change in the response loadings below which reweighting stops.
+# Relative change in the response loadings below which reweighting stops,
+# and the cap on the passes.
 _PRM_TOL = 1e-2
+_PRM_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ def _limit_weights(values: np.ndarray) -> np.ndarray:
     return (values == 0.0).astype(float)
 
 
-def initial_weights(X: np.ndarray, y: np.ndarray, weight_fn=None) -> np.ndarray:
+def initial_weights(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Starting case weights from response and leverage outlyingness.
 
     The residual factor downweights responses far from the median in MAD
@@ -68,12 +70,11 @@ def initial_weights(X: np.ndarray, y: np.ndarray, weight_fn=None) -> np.ndarray:
         raise ValueError(f"X has {n} rows but y has {y.size}")
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
-    wfn = weight_fn if weight_fn is not None else hampel_weight
 
     scale_y = mad_scale(y)
     if scale_y == 0.0:
         raise DegenerateScaleError("response MAD is zero; residual weights undefined")
-    w_resid = wfn(np.abs(y - _median(y)) / scale_y)
+    w_resid = hampel_weight(np.abs(y - _median(y)) / scale_y)
 
     center = l1_median(X)
     dist = _row_norms(X - center)
@@ -81,12 +82,12 @@ def initial_weights(X: np.ndarray, y: np.ndarray, weight_fn=None) -> np.ndarray:
     if scale_d == 0.0:
         raise DegenerateScaleError("leverage distances have zero median; "
                                    "leverage weights undefined")
-    w_lev = wfn(dist / scale_d)
+    w_lev = hampel_weight(dist / scale_d)
     return np.clip(w_resid * w_lev, _WEIGHT_FLOOR, 1.0)
 
 
-def prm_fit(X: np.ndarray, y: np.ndarray, h: int, max_iter: int = 100,
-            weight_fn=None, start_weights: np.ndarray | None = None) -> RobustPLSFit:
+def prm_fit(X: np.ndarray, y: np.ndarray, h: int,
+            start_weights: np.ndarray | None = None) -> RobustPLSFit:
     """Robust SIMPLS of ``y`` on rows of ``X`` by iterative reweighting.
 
     Parameters
@@ -95,21 +96,17 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, max_iter: int = 100,
     y : ndarray of shape (n,)
     h : int
         Requested number of components.
-    max_iter : int
-        Iteration cap; hitting it returns ``converged=False`` rather
-        than raising.  The loop stops earlier once the response loadings
-        move by less than 1% of their norm.
-    weight_fn : callable, optional
-        Replacement for the default Hampel factor, called on nonnegative
-        standardized distances.  ``lambda v: np.ones_like(v)`` turns the
-        procedure into classical SIMPLS.
     start_weights : ndarray of shape (n,), optional
         Case weights of the first pass, as returned by
-        ``initial_weights(X, y, weight_fn)``; computed when absent.
+        ``initial_weights(X, y)``; computed when absent.
         Fits that share ``X`` and ``y`` but not ``h`` can share them.
 
     Notes
     -----
+    The loop stops once the response loadings move by less than 1% of
+    their norm; at its cap of 100 passes it returns ``converged=False``
+    rather than raising.
+
     Residuals use the fitted intercept, i.e. ``y - (gamma0 + scores @
     gamma)``; leverage distances are measured from the spatial median of
     the corrected scores and standardized by their median.  Every pass,
@@ -124,12 +121,9 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, max_iter: int = 100,
         raise ValueError(f"h must be at least 1, got {h}")
     if n < h + 2:
         raise ValueError(f"need at least h + 2 = {h + 2} observations, got {n}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    wfn = weight_fn if weight_fn is not None else hampel_weight
 
     if start_weights is None:
-        weights = initial_weights(X, y, weight_fn)
+        weights = initial_weights(X, y)
     else:
         weights = np.asarray(start_weights, dtype=float).ravel()
         if weights.size != n:
@@ -138,7 +132,7 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, max_iter: int = 100,
     fit = None
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _PRM_MAX_ITER + 1):
         # Pass 1 checks X, y and the start weights; later weights lie in
         # [1e-6, 1] by construction, so later passes skip the checks.
         if fit is None:
@@ -150,14 +144,14 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int, max_iter: int = 100,
         if scale_r == 0.0:
             w_resid = _limit_weights(resid)
         else:
-            w_resid = np.asarray(wfn(np.abs(resid) / scale_r), dtype=float)
+            w_resid = hampel_weight(np.abs(resid) / scale_r)
         center = l1_median(fit.scores)
         dist = _row_norms(fit.scores - center)
         scale_d = _median(dist)
         if scale_d == 0.0:
             w_lev = _limit_weights(dist)
         else:
-            w_lev = np.asarray(wfn(dist / scale_d), dtype=float)
+            w_lev = hampel_weight(dist / scale_d)
         raw = w_resid * w_lev
         if (raw > 0).sum() < 2:
             raise BreakdownError("fewer than 2 observations kept positive weight")

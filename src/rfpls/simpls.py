@@ -38,8 +38,8 @@ class PLSFit:
         Intercept on the score scale (the weighted response mean).
     gamma : ndarray of shape (h,)
         Response loadings; predictions are ``gamma0 + scores @ gamma``.
-    x_center, y_center : ndarray, float
-        Weighted centering used for new data.
+    x_center : ndarray of shape (p,)
+        Weighted centering of ``X`` used for new data.
     h : int
         Number of components actually extracted.
     rank_exhausted : bool
@@ -51,7 +51,6 @@ class PLSFit:
     gamma0: float
     gamma: np.ndarray
     x_center: np.ndarray
-    y_center: float
     h: int
     rank_exhausted: bool
 
@@ -174,8 +173,7 @@ def _weighted_simpls(X: np.ndarray, y: np.ndarray, w: np.ndarray, h: int) -> PLS
         scores[pos] = T[pos] / sq[pos, None]
         scores[~pos] = (X[~pos] - x_center) @ W
     return PLSFit(W=W, scores=scores, gamma0=y_center, gamma=gamma,
-                  x_center=x_center, y_center=y_center, h=T.shape[1],
-                  rank_exhausted=exhausted)
+                  x_center=x_center, h=T.shape[1], rank_exhausted=exhausted)
 
 
 def simpls_fit(X: np.ndarray, y: np.ndarray, h: int) -> PLSFit:

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import leggauss, legval
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson
 from scipy.interpolate import BSpline
 from scipy.linalg import block_diag
 
 from rfpls import basis
 from rfpls.basis import (BasisSystem, build_bspline_system, build_design, evaluate_basis,
-                         gram_from_function, gram_matrix, inv_sqrt_gram,
-                         smooth_curves, sqrt_gram)
+                         gram_matrix, inv_sqrt_gram, smooth_curves, sqrt_gram)
 from rfpls.fileio import load_model, save_model
 from rfpls.regression import fit_fpls, predict
 
@@ -162,21 +161,6 @@ class TestGram:
         g = gram_matrix(system)
         assert np.array_equal(g, g.T)
         assert np.linalg.eigvalsh(g).min() > 0
-
-    def test_quadrature_engine_on_orthonormal_basis(self):
-        """Shifted orthonormal Legendre polynomials give the identity Gram."""
-        k = 5
-
-        def legendre_block(x):
-            cols = []
-            for deg in range(k):
-                coefs = np.zeros(deg + 1)
-                coefs[deg] = 1.0
-                cols.append(np.sqrt(2.0 * deg + 1.0) * legval(2.0 * x - 1.0, coefs))
-            return np.column_stack(cols)
-
-        got = gram_from_function(legendre_block, np.array([0.0, 0.3, 1.0]), k + 1)
-        np.testing.assert_allclose(got, np.eye(k), atol=1e-12)
 
 
 class TestSqrtGram:

@@ -1,7 +1,6 @@
 """Command line behavior: round trips, printed reports, and exit codes."""
 
 import csv
-import functools
 import os
 import re
 import subprocess
@@ -13,13 +12,12 @@ import numpy as np
 import pytest
 
 import rfpls
-from rfpls import cli, regression, robust, robust_pls
+from rfpls import cli, robust, robust_pls
 from rfpls.basis import build_bspline_system, evaluate_basis
 from rfpls.cli import load_experiment_config, main
 from rfpls.errors import ConfigError
 from rfpls.fileio import CurveTable, load_model, read_response, write_curves, write_response
 from rfpls.regression import predict
-from rfpls.robust_pls import prm_fit
 
 
 def _make_tables(dirpath, n=40, seed=0, predictors=2, y_shift=None):
@@ -121,7 +119,7 @@ class TestFitPredictRoundTrip:
         assert " m_converged=True scale=" in captured.out
 
         if stage == "reweighting":
-            monkeypatch.setattr(regression, "prm_fit", functools.partial(prm_fit, max_iter=1))
+            monkeypatch.setattr(robust_pls, "_PRM_MAX_ITER", 1)
             flag = " converged=False m_iterations="
         else:
             monkeypatch.setattr(robust, "_M_MAX_ITER", 1)
@@ -287,6 +285,26 @@ class TestExitCodes:
                            "--response", str(other), "--components", "1",
                            "--out", str(tmp_path / "m.json")],
                           2, "input", "sample ids differ")
+
+    def test_oversized_quoted_field(self, tmp_path, capsys):
+        """A table that needs the csv module and holds a field past its size
+        limit is an input error, not a traceback."""
+        _, response, _ = _make_tables(tmp_path)
+        big = tmp_path / "big.csv"
+        big.write_text('"id",0.0,1.0\ns00,1,' + "1" * 200_000 + "\n")
+        self._assert_fail(capsys,
+                          ["cv", "--method", "fpls", "--curves", str(big),
+                           "--response", response],
+                          2, "input", f"{big}: field larger than field limit")
+
+    @pytest.mark.parametrize("alpha", ["-0.5", "nan"])
+    def test_trim_alpha_outside_unit_interval(self, tmp_path, capsys, alpha):
+        curves, response, _ = _make_tables(tmp_path)
+        self._assert_fail(capsys,
+                          ["cv", "--method", "fpls", "--curves", curves,
+                           "--response", response, "--num-basis", "8",
+                           "--trim-alpha", alpha],
+                          2, "input", f"alpha must be in [0, 1), got {float(alpha)}")
 
     def test_missing_file(self, tmp_path, capsys):
         self._assert_fail(capsys,

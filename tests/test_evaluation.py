@@ -271,3 +271,12 @@ class TestSelectNumComponents:
             select_num_components(design, y, 2, folds=1)
         with pytest.raises(ValueError, match="folds"):
             select_num_components(design, y, 2, folds=13)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 1.0, math.nan])
+    def test_trim_alpha_outside_unit_interval(self, alpha):
+        """A negative alpha used to score without trimming, and NaN failed
+        in ``math.ceil``; both now fail with the metrics' message."""
+        design, rng = _spline_design(26, n=40, num_basis=5)
+        y = rng.normal(size=40)
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\), got"):
+            select_num_components(design, y, 2, alpha=alpha)

@@ -82,13 +82,15 @@ class TestExactRecovery:
 
 
 class TestRobustFit:
-    def test_unit_hooks_reduce_to_classical(self):
+    def test_unit_hooks_reduce_to_classical(self, monkeypatch):
         """Neutral weighting hooks collapse the robust fit onto plain PLS."""
         design, y, *_ = _span_model(4)
         y = y + 0.1 * np.random.default_rng(40).normal(size=y.size)
         classical = fit_fpls(design, y, 4)
-        robust = fit_rfpls(design, y, 4, c=4.685, weight_fn=_unit,
-                           m_weight_fn=lambda e, c: np.ones_like(e))
+        monkeypatch.setattr("rfpls.regression.select_tuning", lambda scores, y: 4.685)
+        monkeypatch.setattr("rfpls.robust_pls.hampel_weight", _unit)
+        monkeypatch.setattr("rfpls.robust._bisquare", lambda e, c: np.ones_like(e))
+        robust = fit_rfpls(design, y, 4)
         np.testing.assert_allclose(robust.beta_coefs, classical.beta_coefs,
                                    atol=1e-8)
         assert abs(robust.intercept - classical.intercept) < 1e-8

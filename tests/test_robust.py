@@ -1,14 +1,17 @@
 """Robust primitives: pinned values, analytic oracles, and breakdown paths."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfpls import robust, robust_pls
 from rfpls.errors import (BreakdownError, DegenerateScaleError,
                           EfficiencyUndefinedError)
-from rfpls.robust import (DEFAULT_HAMPEL, HampelConstants, bisquare_weight,
-                          efficiency_factor, hampel_f, hampel_weight,
+from rfpls.robust import (bisquare_weight, efficiency_factor, hampel_f, hampel_weight,
                           l1_median, m_estimate, mad_scale, select_tuning,
                           tukey_kappa, tukey_rho)
 
@@ -39,14 +42,6 @@ class TestHampel:
     def test_weight_even(self):
         xs = np.linspace(0.0, 4.0, 41)
         np.testing.assert_allclose(hampel_weight(-xs), hampel_weight(xs), atol=1e-14)
-
-    def test_constants_validation(self):
-        with pytest.raises(ValueError):
-            HampelConstants(2.0, 1.0, 3.0)
-        with pytest.raises(ValueError):
-            HampelConstants(0.0, 1.0, 2.0)
-        custom = HampelConstants(1.0, 2.0, 4.0)
-        assert hampel_weight(3.0, custom) == pytest.approx((4.0 - 3.0) / (2.0 * 3.0))
 
 
 class TestTukey:
@@ -201,12 +196,13 @@ class TestMEstimate:
         assert abs(est.intercept - 1.0) < 0.5
         assert abs(ls[0] - 1.0) > 1.0
 
-    def test_unit_weight_hook_is_least_squares(self):
+    def test_unit_weight_hook_is_least_squares(self, monkeypatch):
         """Forcing unit weights reduces the estimate to plain least squares."""
         rng = np.random.default_rng(4)
         Z = rng.normal(size=(40, 3))
         y = 0.7 + Z @ [1.0, -2.0, 0.5] + rng.normal(size=40)
-        est = m_estimate(Z, y, c=2.0, weight_fn=lambda e, c: np.ones_like(e))
+        monkeypatch.setattr(robust, "_bisquare", lambda e, c: np.ones_like(e))
+        est = m_estimate(Z, y, c=2.0)
         design = np.column_stack([np.ones(40), Z])
         theta = np.linalg.lstsq(design, y, rcond=None)[0]
         assert est.intercept == pytest.approx(theta[0], abs=1e-10)
@@ -222,14 +218,15 @@ class TestMEstimate:
         shifted = m_estimate(Z, y + Z @ v, c=3.0)
         np.testing.assert_allclose(shifted.delta, base.delta + v, atol=1e-6)
 
-    def test_breakdown_raises(self):
+    def test_breakdown_raises(self, monkeypatch):
         """A weight hook that keeps too few observations triggers breakdown."""
         rng = np.random.default_rng(6)
         Z = rng.normal(size=(20, 1))
         y = Z.ravel() + rng.normal(size=20)
+        monkeypatch.setattr(robust, "_bisquare",
+                            lambda e, c: (np.arange(e.size) < 2).astype(float))
         with pytest.raises(BreakdownError):
-            m_estimate(Z, y, c=2.0,
-                       weight_fn=lambda e, c: (np.arange(e.size) < 2).astype(float))
+            m_estimate(Z, y, c=2.0)
 
     def test_validation(self):
         Z = np.ones((5, 4))
@@ -265,8 +262,6 @@ class TestEfficiencyFactor:
     def test_validation(self):
         with pytest.raises(ValueError):
             efficiency_factor(np.array([1.0]), c=2.0)
-        with pytest.raises(ValueError):
-            efficiency_factor(np.array([1.0, 2.0]), c=2.0, step=0.0)
 
 
 class TestSelectTuning:
@@ -286,13 +281,15 @@ class TestSelectTuning:
             y = 1.0 + Z @ [2.0, -1.0] + rng.normal(size=150)
             assert select_tuning(Z, y) >= 4.0
 
-    def test_ties_go_to_larger_cutoff(self):
+    def test_ties_go_to_larger_cutoff(self, monkeypatch):
         rng = np.random.default_rng(8)
         Z = rng.normal(size=(60, 1))
         y = Z.ravel() + rng.normal(size=60)
-        c_single = select_tuning(Z, y, grid=np.array([3.0]))
+        monkeypatch.setattr(robust, "_TUNING_GRID", np.array([3.0]))
+        c_single = select_tuning(Z, y)
         assert c_single == 3.0
-        assert select_tuning(Z, y, grid=np.array([3.0, 3.0])) == 3.0
+        monkeypatch.setattr(robust, "_TUNING_GRID", np.array([3.0, 3.0]))
+        assert select_tuning(Z, y) == 3.0
 
     def test_exact_fit_degenerates(self):
         """A response fitted with bitwise-zero residuals has no usable scale."""
@@ -360,11 +357,13 @@ class TestVectorizedTuning:
         candidate-by-candidate loop, ties and rejecting cutoffs included."""
         Z, y, grid = problem
         want = _reference_select_tuning(Z, y, grid)
-        if want is None:
-            with pytest.raises(EfficiencyUndefinedError):
-                select_tuning(Z, y, grid=grid)
-        else:
-            assert select_tuning(Z, y, grid=grid) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robust, "_TUNING_GRID", grid)
+            if want is None:
+                with pytest.raises(EfficiencyUndefinedError):
+                    select_tuning(Z, y)
+            else:
+                assert select_tuning(Z, y) == want
 
     @settings(max_examples=100, deadline=None)
     @given(_tuning_problems())
@@ -382,3 +381,40 @@ class TestVectorizedTuning:
                     efficiency_factor(e, float(c))
             else:
                 assert efficiency_factor(e, float(c)) == want
+
+
+def _readme_constants():
+    """``(value cell, module, name)`` rows of the README's table of robust
+    estimator constants."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    _, found, section = text.partition("### Robust estimator constants\n")
+    assert found, "README has no robust estimator constants section"
+    section = section.split("\n#", 1)[0]
+    return re.findall(r"^\| ([^|`]+?) \| `(robust|robust_pls)\.(\w+)` \|", section, re.MULTILINE)
+
+
+def _table_value(cell):
+    """A value cell as a number, a tuple, or an evenly spaced grid written
+    ``first, second, ..., last``."""
+    parts = [part.strip() for part in cell.split(",")]
+    if parts[2:3] == ["..."]:
+        first, second, last = float(parts[0]), float(parts[1]), float(parts[-1])
+        return np.linspace(first, last, round((last - first) / (second - first)) + 1)
+    values = tuple(float(part) for part in parts)
+    return values if len(values) > 1 else values[0]
+
+
+class TestConstantsTable:
+    def test_readme_table_matches_the_modules(self):
+        """Every row of the README table holds its module constant's value,
+        and every module constant of the robust stack has a row."""
+        rows = _readme_constants()
+        modules = {"robust": robust, "robust_pls": robust_pls}
+        for cell, module, name in rows:
+            got = getattr(modules[module], name)
+            want = _table_value(cell)
+            assert np.shape(got) == np.shape(want), name
+            assert np.array_equal(got, want), name
+        declared = {(module, name) for module, mod in modules.items() for name in vars(mod)
+                    if re.fullmatch(r"_[A-Z][A-Z0-9_]*", name)}
+        assert sorted((module, name) for _, module, name in rows) == sorted(declared)

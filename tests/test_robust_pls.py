@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rfpls import robust_pls
 from rfpls.errors import BreakdownError, DegenerateScaleError
 from rfpls.robust import hampel_weight, l1_median, mad_scale
 from rfpls.robust_pls import initial_weights, prm_fit
@@ -57,13 +58,14 @@ class TestInitialWeights:
 
 
 class TestPrmFit:
-    def test_unit_weight_hook_is_classical_bitwise(self):
+    def test_unit_weight_hook_is_classical_bitwise(self, monkeypatch):
         """Forcing unit weights reproduces plain SIMPLS exactly."""
         rng = np.random.default_rng(10)
         X = rng.normal(size=(30, 6))
         y = X @ rng.normal(size=6) + rng.normal(size=30)
         classical = simpls_fit(X, y, 3)
-        robust = prm_fit(X, y, 3, weight_fn=_unit)
+        monkeypatch.setattr(robust_pls, "hampel_weight", _unit)
+        robust = prm_fit(X, y, 3)
         np.testing.assert_array_equal(robust.W_r, classical.W)
         np.testing.assert_array_equal(robust.scores_r, classical.scores)
         np.testing.assert_array_equal(robust.gamma_r, classical.gamma)
@@ -97,42 +99,45 @@ class TestPrmFit:
         clean = np.setdiff1d(np.arange(n), bad)
         assert np.median(fit.weights[clean]) > 0.8
 
-    def test_robust_loadings_resist_contamination(self):
+    def test_robust_loadings_resist_contamination(self, monkeypatch):
         """Final loadings stay close to the clean-data fit despite outliers."""
         rng = np.random.default_rng(12)
         n = 80
         X = rng.normal(size=(n, 4))
         beta = np.array([1.0, 2.0, 0.0, -1.0])
         y = X @ beta + 0.3 * rng.normal(size=n)
-        clean = prm_fit(X, y, 2, weight_fn=_unit)
         Xc, yc = X.copy(), y.copy()
         bad = np.arange(0, n, 10)
         Xc[bad] *= 8.0
         yc[bad] += 40.0
         robust = prm_fit(Xc, yc, 2)
-        contaminated = prm_fit(Xc, yc, 2, weight_fn=_unit)
+        monkeypatch.setattr(robust_pls, "hampel_weight", _unit)
+        clean = prm_fit(X, y, 2)
+        contaminated = prm_fit(Xc, yc, 2)
         theta_clean = clean.W_r @ clean.gamma_r
         err_robust = np.linalg.norm(robust.W_r @ robust.gamma_r - theta_clean)
         err_plain = np.linalg.norm(contaminated.W_r @ contaminated.gamma_r
                                    - theta_clean)
         assert err_robust < 0.5 * err_plain
 
-    def test_iteration_cap_flags_nonconvergence(self):
+    def test_iteration_cap_flags_nonconvergence(self, monkeypatch):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(40, 4))
         y = rng.normal(size=40)
-        fit = prm_fit(X, y, 2, max_iter=1)
+        monkeypatch.setattr(robust_pls, "_PRM_MAX_ITER", 1)
+        fit = prm_fit(X, y, 2)
         assert not fit.converged
         assert fit.iterations == 1
 
-    def test_breakdown_with_starved_weights(self):
+    def test_breakdown_with_starved_weights(self, monkeypatch):
         """A hook that zeroes almost every weight breaks the loop down."""
         rng = np.random.default_rng(14)
         X = rng.normal(size=(20, 3))
         y = rng.normal(size=20)
+        monkeypatch.setattr(robust_pls, "hampel_weight",
+                            lambda v: (np.arange(v.size) == 0).astype(float))
         with pytest.raises(BreakdownError):
-            prm_fit(X, y, 1,
-                    weight_fn=lambda v: (np.arange(v.size) == 0).astype(float))
+            prm_fit(X, y, 1)
 
     def test_given_start_weights_replace_initial_weights(self):
         """Passing initial_weights' result reproduces the default fit bit
@@ -150,7 +155,7 @@ class TestPrmFit:
         with pytest.raises(ValueError, match="start_weights"):
             prm_fit(X, y, 2, start_weights=start[:-1])
 
-    def test_weights_are_rebuilt_from_the_returned_fit(self):
+    def test_weights_are_rebuilt_from_the_returned_fit(self, monkeypatch):
         """The returned weights follow from ``scores_r``, ``gamma0`` and
         ``gamma_r`` bit for bit; after a single pass they differ from the
         start weights that produced ``W_r``."""
@@ -158,7 +163,8 @@ class TestPrmFit:
         X = rng.normal(size=(60, 5))
         y = X @ rng.normal(size=5) + rng.standard_t(2, size=60)
         for h, max_iter in ((1, 100), (2, 100), (3, 100), (2, 1)):
-            fit = prm_fit(X, y, h, max_iter=max_iter)
+            monkeypatch.setattr(robust_pls, "_PRM_MAX_ITER", max_iter)
+            fit = prm_fit(X, y, h)
             resid = y - (fit.gamma0 + fit.scores_r @ fit.gamma_r)
             w_resid = hampel_weight(np.abs(resid) / mad_scale(resid))
             dist = np.linalg.norm(fit.scores_r - l1_median(fit.scores_r), axis=1)
@@ -174,7 +180,5 @@ class TestPrmFit:
             prm_fit(X, y, 0)
         with pytest.raises(ValueError):
             prm_fit(X, y[:-1], 1)
-        with pytest.raises(ValueError):
-            prm_fit(X, y, 1, max_iter=0)
         with pytest.raises(ValueError):
             prm_fit(X[:2], y[:2], 1)
