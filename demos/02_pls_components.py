@@ -11,7 +11,7 @@ sample.
 
 import numpy as np
 
-from rfpls import pls_predict, simpls_fit, weighted_simpls_fit
+from rfpls import simpls_fit, weighted_simpls_fit
 
 rng = np.random.default_rng(1)
 n, p = 60, 12
@@ -31,7 +31,7 @@ print("2-component fit exactly:",
 
 for h in (1, 2, 3, 4):
     fit = simpls_fit(X, y, h)
-    resid = y - pls_predict(fit, X)
+    resid = y - (fit.gamma0 + fit.scores @ fit.gamma)  # in-sample fitted values
     print(f"  h={h}  residual SS = {float(resid @ resid):8.3f}")
 
 # Weighted fits generalize the same machinery.  Integer weights behave like

@@ -11,21 +11,20 @@ __version__ = "0.1.0"
 # name is cached here: a rebinding in its module is the only binding there is.
 _EXPORTS = {
     "basis": ("BasisSystem", "MultiFunctionalDesign", "build_bspline_system", "build_design",
-              "evaluate_basis", "gram_matrix", "inv_sqrt_gram", "smooth_curves", "sqrt_gram"),
+              "evaluate_basis", "gram_matrix", "smooth_curves"),
     "errors": ("BreakdownError", "ConfigError", "DegenerateScaleError",
                "EfficiencyUndefinedError", "InputError", "NumericalError", "RfplsError",
                "SpatialMedianCapWarning"),
-    "evaluation": ("CVReport", "iqr_outliers", "risee", "select_num_components",
-                   "trimmed_mspe", "trimmed_r2"),
+    "evaluation": ("CVReport", "risee", "select_num_components", "trimmed_mspe",
+                   "trimmed_r2"),
     "fileio": ("CurveTable", "load_model", "read_curves", "read_response", "save_model",
                "write_curves", "write_predictions", "write_response"),
     "regression": ("FittedSofr", "RobustReport", "coefficient_functions", "fit_fpc",
                    "fit_fpls", "fit_rfpls", "predict", "predict_from_design"),
-    "robust": ("MEstimate", "bisquare_weight", "efficiency_factor", "hampel_f", "hampel_weight",
-               "l1_median", "m_estimate", "mad_scale", "select_tuning", "tukey_kappa",
-               "tukey_rho"),
+    "robust": ("MEstimate", "efficiency_factor", "hampel_f", "hampel_weight", "l1_median",
+               "m_estimate", "mad_scale", "select_tuning", "tukey_kappa", "tukey_rho"),
     "robust_pls": ("RobustPLSFit", "initial_weights", "prm_fit"),
-    "simpls": ("PLSFit", "pls_predict", "simpls_fit", "weighted_simpls_fit"),
+    "simpls": ("PLSFit", "simpls_fit", "weighted_simpls_fit"),
     "simulation": ("ExperimentConfig", "ExperimentResult", "SimDataset", "contaminate",
                    "generate_clean", "run_experiment"),
 }

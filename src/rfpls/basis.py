@@ -141,8 +141,9 @@ def gram_matrix(system: BasisSystem) -> np.ndarray:
 
 
 def _gram_roots(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sqrt_gram`` and ``inv_sqrt_gram`` of a symmetric PSD matrix from one
-    eigendecomposition, with a negativity check."""
+    """Symmetric square root of a symmetric PSD matrix and the pseudo-inverse
+    of that root, from one eigendecomposition with a negativity check.
+    Eigenvalues below 1e-12 of the largest are dropped from the inverse."""
     mat = np.asarray(psi, dtype=float)
     evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
     top = max(float(evals[-1]), 0.0)
@@ -152,16 +153,6 @@ def _gram_roots(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inv = np.divide(1.0, np.sqrt(evals), out=np.zeros_like(evals), where=evals > 1e-12 * top)
     roots = [(evecs * scale) @ evecs.T for scale in (np.sqrt(evals), inv)]
     return tuple(0.5 * (root + root.T) for root in roots)
-
-
-def sqrt_gram(psi: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a Gram matrix via eigendecomposition."""
-    return _gram_roots(psi)[0]
-
-
-def inv_sqrt_gram(psi: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root; eigenvalues below 1e-12 of the largest are dropped."""
-    return _gram_roots(psi)[1]
 
 
 def smooth_curves(values: np.ndarray, grid: np.ndarray,
@@ -292,10 +283,6 @@ class MultiFunctionalDesign:
     @property
     def total_basis(self) -> int:
         return self.D.shape[1]
-
-    def block_slices(self) -> list[slice]:
-        """Column ranges of each predictor inside ``D`` / ``A``."""
-        return _block_slices(self.systems)
 
     def take(self, rows: np.ndarray) -> "MultiFunctionalDesign":
         """Row subset sharing the basis geometry."""

@@ -108,6 +108,11 @@ def cmd_fit(args) -> int:
                                        method=args.method, seed=args.seed)
         h = report.chosen_h
     fit = _FITTERS[args.method](design, y, h)
+    if fit.h == 0:
+        raise NumericalError(f"extracted no component of the {h} asked for; no model written")
+    if fit.h < h:
+        print(f"rfpls: warning: extracted {fit.h} of the {h} components asked for",
+              file=sys.stderr)
     save_model(args.out, fit)
     print(f"method={fit.method} samples={design.n} predictors={len(tables)} "
           f"num_basis={args.num_basis} components={fit.h}")

@@ -1,5 +1,5 @@
-"""Trimmed accuracy metrics, coefficient error, outlier flagging, and
-cross-validated component selection.
+"""Trimmed accuracy metrics, coefficient error, and cross-validated
+component selection.
 
 Trimming discards the ``ceil(alpha * n)`` largest squared prediction
 errors so a handful of wild observations cannot dominate a score; every
@@ -106,19 +106,6 @@ def risee(beta_true: np.ndarray, beta_hat: np.ndarray) -> float:
     if den == 0.0:
         raise ValueError("beta_true is zero on the grid; relative error undefined")
     return num / den
-
-
-def iqr_outliers(y: np.ndarray) -> np.ndarray:
-    """Indices outside the 1.5-IQR whiskers (linear-interpolation quartiles)."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size < 4:
-        raise ValueError(f"need at least 4 observations, got {y.size}")
-    if not np.isfinite(y).all():
-        raise ValueError("values must be finite")
-    q1, q3 = np.percentile(y, [25.0, 75.0])
-    spread = q3 - q1
-    lo, hi = q1 - 1.5 * spread, q3 + 1.5 * spread
-    return np.flatnonzero((y < lo) | (y > hi))
 
 
 def select_num_components(design: MultiFunctionalDesign, y: np.ndarray,

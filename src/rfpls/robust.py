@@ -95,16 +95,9 @@ def tukey_kappa(u, c):
     return _maybe_scalar(out, scalar and cut.ndim == 0)
 
 
-def bisquare_weight(e, c: float):
-    """IRLS weight kappa(e)/e: [1 - (e/c)^2]^2 for |e| <= c, else 0; 1 at e = 0."""
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    arr, scalar = _as_array(e)
-    return _maybe_scalar(_bisquare(arr, c), scalar)
-
-
 def _bisquare(e: np.ndarray, c: float) -> np.ndarray:
-    """``bisquare_weight`` of a float array without its checks; needs ``c > 0``."""
+    """IRLS weight kappa(e)/e of a float array: [1 - (e/c)^2]^2 for |e| <= c,
+    else 0; 1 at e = 0.  Needs ``c > 0``, which is not checked."""
     z = e / c
     return np.where(np.abs(e) <= c, (1.0 - z * z) ** 2, 0.0)
 

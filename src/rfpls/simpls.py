@@ -186,10 +186,3 @@ def simpls_fit(X: np.ndarray, y: np.ndarray, h: int) -> PLSFit:
     X = np.asarray(X, dtype=float)
     return weighted_simpls_fit(X, y, np.ones(X.shape[0] if X.ndim == 2 else 0), h)
 
-
-def pls_predict(fit: PLSFit, X_new: np.ndarray) -> np.ndarray:
-    """Predict responses for new rows: ``gamma0 + (X_new - x_center) @ W @ gamma``."""
-    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    if X_new.shape[1] != fit.W.shape[0]:
-        raise ValueError(f"X_new has {X_new.shape[1]} columns, expected {fit.W.shape[0]}")
-    return fit.gamma0 + ((X_new - fit.x_center) @ fit.W) @ fit.gamma

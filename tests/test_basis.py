@@ -13,8 +13,8 @@ from scipy.interpolate import BSpline
 from scipy.linalg import block_diag
 
 from rfpls import basis
-from rfpls.basis import (BasisSystem, build_bspline_system, build_design, evaluate_basis,
-                         gram_matrix, inv_sqrt_gram, smooth_curves, sqrt_gram)
+from rfpls.basis import (BasisSystem, _block_slices, _gram_roots, build_bspline_system,
+                         build_design, evaluate_basis, gram_matrix, smooth_curves)
 from rfpls.fileio import load_model, save_model
 from rfpls.regression import fit_fpls, predict
 
@@ -167,36 +167,36 @@ class TestSqrtGram:
     def test_square_root_reconstructs(self):
         system = build_bspline_system((0.0, 1.0), 10)
         psi = gram_matrix(system)
-        root = sqrt_gram(psi)
+        root, _ = _gram_roots(psi)
         assert np.array_equal(root, root.T)
         np.testing.assert_allclose(root @ root, psi, atol=1e-12)
 
     def test_inverse_root_inverts(self):
         system = build_bspline_system((0.0, 1.0), 8)
         psi = gram_matrix(system)
-        inv = inv_sqrt_gram(psi)
-        np.testing.assert_allclose(inv @ sqrt_gram(psi), np.eye(8), atol=1e-8)
+        root, inv = _gram_roots(psi)
+        np.testing.assert_allclose(inv @ root, np.eye(8), atol=1e-8)
 
     def test_rank_deficient_pseudo_inverse(self):
         """A rank-one matrix maps to the square root on its range."""
         v = np.array([1.0, 2.0, -1.0])
         psi = np.outer(v, v)
-        root = sqrt_gram(psi)
+        root, inv = _gram_roots(psi)
         np.testing.assert_allclose(root @ root, psi, atol=1e-12)
-        inv = inv_sqrt_gram(psi)
         proj = np.outer(v, v) / (v @ v)
         np.testing.assert_allclose(inv @ psi @ inv, proj, atol=1e-12)
 
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError):
-            sqrt_gram(np.array([[1.0, 0.0], [0.0, -1.0]]))
+            _gram_roots(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
     @pytest.mark.filterwarnings("error")
     def test_zero_matrix_has_zero_roots_without_warning(self):
         """Every eigenvalue is dropped from the inverse, so nothing divides by 0."""
         zero = np.zeros((3, 3))
-        assert np.array_equal(sqrt_gram(zero), zero)
-        assert np.array_equal(inv_sqrt_gram(zero), zero)
+        root, inv = _gram_roots(zero)
+        assert np.array_equal(root, zero)
+        assert np.array_equal(inv, zero)
 
 
 class TestSmoothing:
@@ -245,7 +245,7 @@ class TestBuildDesign:
         curves, grids, systems = self._design()
         design = build_design(curves, grids, systems)
         assert design.D.shape == (15, 14)
-        assert design.block_slices() == [slice(0, 6), slice(6, 14)]
+        assert _block_slices(design.systems) == [slice(0, 6), slice(6, 14)]
         assert np.array_equal(design.Psi[:6, 6:], np.zeros((6, 8)))
         np.testing.assert_allclose(design.A, design.D @ design.Psi_half.T)
 
@@ -257,7 +257,7 @@ class TestBuildDesign:
         want = np.zeros((6, 6))
         for system, grid, block in zip(systems, [np.linspace(0, 1, 3001),
                                                  np.linspace(0, 2, 3001)],
-                                       design.block_slices()):
+                                       _block_slices(design.systems)):
             vals = design.D[:, block] @ evaluate_basis(system, grid).T
             want += simpson(vals[:, None, :] * vals[None, :, :], x=grid, axis=-1)
         np.testing.assert_allclose(got, want, atol=1e-8)
@@ -288,7 +288,7 @@ def _frozen_eigh_psd(mat):
 
 
 def _frozen_sqrt_gram(psi):
-    """``sqrt_gram`` as written when each root ran its own eigendecomposition."""
+    """The square root as written when each root ran its own eigendecomposition."""
     evals, evecs = _frozen_eigh_psd(np.asarray(psi, dtype=float))
     root = (evecs * np.sqrt(evals)) @ evecs.T
     return 0.5 * (root + root.T)
@@ -357,10 +357,9 @@ class TestGeometryPerLayout:
                    build_bspline_system((-1.0, 2.0), 9, order=3),
                    build_bspline_system((0.0, 5.0), 4, order=2))
         geometry = basis._geometry(systems)
-        grams = [gram_matrix(s) for s in systems]
-        for got, root in zip(geometry, (None, sqrt_gram, inv_sqrt_gram)):
-            want = block_diag(*[g if root is None else root(g) for g in grams])
-            assert got.tobytes() == want.tobytes()
+        blocks = [(gram, *_gram_roots(gram)) for gram in map(gram_matrix, systems)]
+        for got, parts in zip(geometry, zip(*blocks)):
+            assert got.tobytes() == block_diag(*parts).tobytes()
 
     @pytest.mark.parametrize("layout", [
         [((0.0, 1.0), 4, 4)],
@@ -368,10 +367,9 @@ class TestGeometryPerLayout:
         [((-2.0, 3.0), 7, 1), ((0.0, 1e-3), 12, 5)],
         [((0.0, 1.0), 6, 4), ((-1.0, 2.0), 9, 3), ((0.0, 5.0), 4, 2)],
     ])
-    def test_blocks_match_the_public_roots(self, layout):
-        """One eigendecomposition per block gives the bytes of ``sqrt_gram``
-        and ``inv_sqrt_gram``, which keep those of their two-decomposition
-        form."""
+    def test_blocks_match_the_gram_roots(self, layout):
+        """Each block holds the bytes of ``_gram_roots``, whose one
+        eigendecomposition keeps those of the two-decomposition form."""
         systems = tuple(build_bspline_system(d, k, order=o) for d, k, o in layout)
         geometry = basis._geometry(systems)
         stop = 0
@@ -379,9 +377,8 @@ class TestGeometryPerLayout:
             block = slice(stop, stop + system.num_basis)
             stop = block.stop
             gram = gram_matrix(system)
-            for got, public, frozen in zip(geometry, (None, sqrt_gram, inv_sqrt_gram),
-                                           (None, _frozen_sqrt_gram, _frozen_inv_sqrt_gram)):
-                want = gram if public is None else public(gram)
+            for got, want, frozen in zip(geometry, (gram, *_gram_roots(gram)),
+                                         (None, _frozen_sqrt_gram, _frozen_inv_sqrt_gram)):
                 assert got[block, block].tobytes() == want.tobytes()
                 if frozen is not None:
                     assert want.tobytes() == frozen(gram).tobytes()

@@ -20,8 +20,9 @@ from rfpls.fileio import CurveTable, load_model, read_response, write_curves, wr
 from rfpls.regression import predict
 
 
-def _make_tables(dirpath, n=40, seed=0, predictors=2, y_shift=None):
-    """Write curve and response CSVs for a smooth synthetic sample."""
+def _make_tables(dirpath, n=40, seed=0, predictors=2, y_shift=None, scale=1.0):
+    """Write curve and response CSVs for a smooth synthetic sample; the
+    written curves are multiplied by ``scale``."""
     rng = np.random.default_rng(seed)
     ids = tuple(f"s{i:02d}" for i in range(n))
     curve_paths = []
@@ -33,7 +34,7 @@ def _make_tables(dirpath, n=40, seed=0, predictors=2, y_shift=None):
         values = coefs @ evaluate_basis(system, grid).T
         signal += coefs @ rng.normal(size=8)
         path = dirpath / f"curves{m + 1}.csv"
-        write_curves(path, CurveTable(sample_ids=ids, grid=grid, values=values))
+        write_curves(path, CurveTable(sample_ids=ids, grid=grid, values=values * scale))
         curve_paths.append(str(path))
     y = signal + 0.3 * rng.normal(size=n)
     if y_shift is not None:
@@ -160,6 +161,21 @@ class TestFitPredictRoundTrip:
         count = re.fullmatch(r"rfpls: warning: spatial median stopped at its iteration cap "
                              r"in (\d+) calls?", lines[0])
         assert count and 1 <= int(count[1]) <= len(calls)
+
+    @pytest.mark.parametrize("method", ["fpls", "rfpls"])
+    def test_component_shortfall_warns(self, tmp_path, capsys, method):
+        """Two predictors in 4 B-splines support 8 components, not the 20
+        asked for: the fit says so on stderr and still writes its model."""
+        curves, response, _ = _make_tables(tmp_path)
+        model = tmp_path / "model.json"
+        rc = main(["fit", "--method", method, "--curves", curves, "--response", response,
+                   "--num-basis", "4", "--components", "20", "--out", str(model)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "components=8" in captured.out
+        assert captured.err.splitlines() == [
+            "rfpls: warning: extracted 8 of the 20 components asked for"]
+        assert load_model(model).h == 8
 
     def test_rerun_into_the_same_outputs_is_byte_identical(self, tmp_path, capsys):
         """A re-run replaces its outputs with the same bytes, not appended or mixed ones."""
@@ -371,6 +387,21 @@ class TestExitCodes:
                            "--response", str(flat), "--num-basis", "8",
                            "--components", "1", "--out", str(tmp_path / "m.json")],
                           3, "numerical", "")
+
+    @pytest.mark.parametrize("method", ["fpls", "rfpls"])
+    def test_fit_without_components_writes_no_model(self, tmp_path, capsys, method):
+        """Curves scaled by 2^-332 leave no component to extract.  The fit
+        fails with exit 3 and keeps the file at ``--out``, instead of
+        writing a model that ``predict`` refuses."""
+        curves, response, _ = _make_tables(tmp_path, scale=2.0 ** -332)
+        model = tmp_path / "m.json"
+        model.write_bytes(b"an earlier model\n")
+        self._assert_fail(capsys,
+                          ["fit", "--method", method, "--curves", curves,
+                           "--response", response, "--num-basis", "8",
+                           "--components", "2", "--out", str(model)],
+                          3, "numerical", "extracted no component of the 2 asked for")
+        assert model.read_bytes() == b"an earlier model\n"
 
     def test_fpc_components_past_the_rank_is_input_error(self, tmp_path, capsys):
         """Two predictors in 8 B-splines give at most 16 principal

@@ -1,4 +1,4 @@
-"""Trimmed error metrics, interval-score outlier flags, and CV selection."""
+"""Trimmed error metrics, coefficient error, and CV selection."""
 
 import math
 
@@ -9,8 +9,7 @@ from scipy.integrate import simpson
 from rfpls import evaluation
 from rfpls.basis import build_bspline_system, build_design, evaluate_basis
 from rfpls.errors import NumericalError
-from rfpls.evaluation import (iqr_outliers, risee, select_num_components,
-                              trimmed_mspe, trimmed_r2)
+from rfpls.evaluation import risee, select_num_components, trimmed_mspe, trimmed_r2
 from rfpls.regression import fit_fpls, fit_rfpls, predict_from_design
 from rfpls.simulation import generate_clean
 
@@ -99,26 +98,6 @@ class TestRisee:
             risee([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             risee([1.0], [1.0])
-
-
-class TestIqrOutliers:
-    def test_hand_computed_upper_tail(self):
-        """Quartiles 3.25 / 7.75 give whiskers [-3.5, 14.5]."""
-        y = np.concatenate([np.arange(1.0, 10.0), [100.0]])
-        np.testing.assert_array_equal(iqr_outliers(y), [9])
-
-    def test_both_tails(self):
-        y = np.concatenate([[-50.0], np.arange(1.0, 9.0), [60.0]])
-        np.testing.assert_array_equal(iqr_outliers(y), [0, 9])
-
-    def test_no_outliers(self):
-        assert iqr_outliers(np.arange(1.0, 9.0)).size == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            iqr_outliers([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            iqr_outliers([1.0, 2.0, 3.0, np.inf])
 
 
 def _spline_design(seed, n, num_basis, rank=None):

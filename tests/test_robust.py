@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from rfpls import robust, robust_pls
 from rfpls.errors import (BreakdownError, DegenerateScaleError,
                           EfficiencyUndefinedError)
-from rfpls.robust import (bisquare_weight, efficiency_factor, hampel_f, hampel_weight,
-                          l1_median, m_estimate, mad_scale, select_tuning,
-                          tukey_kappa, tukey_rho)
+from rfpls.robust import (efficiency_factor, hampel_f, hampel_weight, l1_median,
+                          m_estimate, mad_scale, select_tuning, tukey_kappa, tukey_rho)
 
 
 class TestHampel:
@@ -73,16 +72,15 @@ class TestTukey:
 
     def test_bisquare_weight_values(self):
         c = 2.0
-        assert bisquare_weight(0.0, c) == 1.0
-        assert bisquare_weight(c, c) == 0.0
-        assert bisquare_weight(c / 2.0, c) == pytest.approx(0.5625, abs=1e-14)
-        assert bisquare_weight(5.0, c) == 0.0
+        got = robust._bisquare(np.array([0.0, c, -c, c / 2.0, 5.0]), c)
+        np.testing.assert_array_equal(got[[0, 1, 2, 4]], [1.0, 0.0, 0.0, 0.0])
+        assert got[3] == pytest.approx(0.5625, abs=1e-14)
         es = np.array([-1.9, -0.3, 0.4, 1.2])
-        np.testing.assert_allclose(bisquare_weight(es, c),
+        np.testing.assert_allclose(robust._bisquare(es, c),
                                    tukey_kappa(es, c) / es, atol=1e-14)
 
     def test_invalid_cutoff(self):
-        for fn in (tukey_rho, tukey_kappa, bisquare_weight):
+        for fn in (tukey_rho, tukey_kappa):
             with pytest.raises(ValueError):
                 fn(1.0, 0.0)
 
