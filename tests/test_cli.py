@@ -177,6 +177,22 @@ class TestFitPredictRoundTrip:
             "rfpls: warning: extracted 8 of the 20 components asked for"]
         assert load_model(model).h == 8
 
+    @pytest.mark.parametrize("method", ["fpls", "rfpls"])
+    def test_component_shortfall_model_predicts(self, tmp_path, capsys, method):
+        """The model written after a shortfall is one ``predict`` accepts."""
+        curves, response, ids = _make_tables(tmp_path)
+        model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
+        assert main(["fit", "--method", method, "--curves", curves, "--response", response,
+                     "--num-basis", "4", "--components", "20", "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--curves", curves,
+                     "--out", str(pred)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(pred, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [r[0] for r in rows[1:]] == list(ids)
+        assert np.isfinite([float(r[1]) for r in rows[1:]]).all()
+
     def test_rerun_into_the_same_outputs_is_byte_identical(self, tmp_path, capsys):
         """A re-run replaces its outputs with the same bytes, not appended or mixed ones."""
         curves, response, _ = _make_tables(tmp_path, seed=5)

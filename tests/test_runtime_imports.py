@@ -137,6 +137,20 @@ class TestExportTable:
         with pytest.raises(AttributeError, match="no_such_name"):
             rfpls.no_such_name  # noqa: B018
 
+    def test_retired_names_are_gone(self):
+        """Names that only tests called were removed, not just unexported."""
+        from rfpls import basis, evaluation, simpls
+        from rfpls.basis import MultiFunctionalDesign
+        retired = {basis: ("sqrt_gram", "inv_sqrt_gram"), evaluation: ("iqr_outliers",),
+                   robust: ("bisquare_weight",), simpls: ("pls_predict",)}
+        for module, names in retired.items():
+            for name in names:
+                assert name not in rfpls.__all__, name
+                assert not hasattr(module, name), name
+                with pytest.raises(AttributeError, match=name):
+                    getattr(rfpls, name)
+        assert not hasattr(MultiFunctionalDesign, "block_slices")
+
     def test_rebinding_in_the_module_is_seen(self, monkeypatch):
         monkeypatch.setattr(robust, "l1_median", sum)
         assert rfpls.l1_median is sum
