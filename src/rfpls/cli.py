@@ -108,8 +108,6 @@ def cmd_fit(args) -> int:
                                        method=args.method, seed=args.seed)
         h = report.chosen_h
     fit = _FITTERS[args.method](design, y, h)
-    if fit.h == 0:
-        raise NumericalError(f"extracted no component of the {h} asked for; no model written")
     if fit.h < h:
         print(f"rfpls: warning: extracted {fit.h} of the {h} components asked for",
               file=sys.stderr)

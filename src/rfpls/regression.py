@@ -19,6 +19,7 @@ import numpy as np
 
 from .basis import (BasisSystem, MultiFunctionalDesign, _block_slices, _geometry,
                     _smooth_stack, evaluate_basis)
+from .errors import NumericalError
 from .robust import m_estimate, select_tuning
 from .robust_pls import prm_fit
 from .simpls import simpls_fit
@@ -91,10 +92,12 @@ def fit_fpls(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr
 
     Runs SIMPLS of ``y`` on the corrected design ``A``; the returned
     ``h`` may be smaller than requested when the design runs out of
-    directions.
+    directions, and raises ``NumericalError`` when it has none.
     """
     y = np.asarray(y, dtype=float).ravel()
     pfit = simpls_fit(design.A, y, h)
+    if pfit.h == 0:
+        raise NumericalError(f"extracted no component of the {h} asked for")
     theta = pfit.W @ pfit.gamma
     intercept = pfit.gamma0 - float(pfit.x_center @ theta)
     return _finish(design, "fpls", theta, intercept, pfit.h)
@@ -107,10 +110,12 @@ def fit_rfpls(design: MultiFunctionalDesign, y: np.ndarray, h: int,
     Reweighted SIMPLS extracts outlier-resistant scores; the response is
     then M-regressed on those scores with a bisquare whose cutoff ``c``
     is tuned on the score residuals.  ``start_weights`` are passed to
-    ``prm_fit``.
+    ``prm_fit``.  Raises ``NumericalError`` when no component is extracted.
     """
     y = np.asarray(y, dtype=float).ravel()
     rfit = prm_fit(design.A, y, h, start_weights=start_weights)
+    if rfit.scores_r.shape[1] == 0:
+        raise NumericalError(f"extracted no component of the {h} asked for")
     cutoff = select_tuning(rfit.scores_r, y)
     mest = m_estimate(rfit.scores_r, y, cutoff)
     theta = rfit.W_r @ mest.delta

@@ -195,6 +195,30 @@ def l1_median(points: np.ndarray) -> np.ndarray:
     return m
 
 
+def _least_squares_start(scores, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The checked least-squares start of ``select_tuning`` and ``m_estimate``:
+    the design ``[1, scores]``, ``y`` as floats, the coefficients and the rank."""
+    Z = np.atleast_2d(np.asarray(scores, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    n, h = Z.shape
+    if y.size != n:
+        raise ValueError(f"scores has {n} rows but y has {y.size}")
+    if n < h + 2:
+        raise ValueError(f"need at least h + 2 = {h + 2} observations, got {n}")
+    if not (np.isfinite(Z).all() and np.isfinite(y).all()):
+        raise ValueError("scores and y must be finite")
+    design = np.column_stack([np.ones(n), Z])
+    theta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    return design, y, theta, int(rank)
+
+
+def _settled(new: np.ndarray, old: np.ndarray, tol: float) -> bool:
+    """Whether ``new`` lies within ``tol`` times the norm of ``old`` from it:
+    the stopping test of ``m_estimate`` and of PRM's reweighting loop."""
+    delta = new - old
+    return math.sqrt(delta.dot(delta)) <= tol * max(math.sqrt(old.dot(old)), 1e-300)
+
+
 @dataclass(frozen=True)
 class MEstimate:
     """Result of iteratively reweighted M-estimation on scores.
@@ -223,27 +247,13 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float) -> MEstimate:
     exactly; the estimate is returned as converged with limit weights
     (1 on exact residuals, 0 elsewhere).
     """
-    Z = np.atleast_2d(np.asarray(scores, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    n, h = Z.shape
-    if y.size != n:
-        raise ValueError(f"scores has {n} rows but y has {y.size}")
-    if n < h + 2:
-        raise ValueError(f"need at least h + 2 = {h + 2} observations, got {n}")
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
-    if not (np.isfinite(Z).all() and np.isfinite(y).all()):
-        raise ValueError("scores and y must be finite")
-
-    design = np.column_stack([np.ones(n), Z])
-    theta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    design, y, theta, rank = _least_squares_start(scores, y)
+    h = design.shape[1] - 1
     if rank < h + 1:
         raise BreakdownError(f"score design is rank deficient ({rank} < {h + 1})")
 
-    converged = False
-    iterations = 0
-    weights = np.ones(n)
-    scale = 0.0
     for iterations in range(1, _M_MAX_ITER + 1):
         resid = y - design @ theta
         scale = mad_scale(resid)
@@ -260,12 +270,8 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float) -> MEstimate:
         if rank < h + 1 or not np.isfinite(theta_new).all():
             raise BreakdownError("weighted score design collapsed to rank "
                                  f"{rank} < {h + 1}")
-        delta = theta_new - theta
-        move = math.sqrt(delta.dot(delta))
-        base = math.sqrt(theta.dot(theta))
-        theta = theta_new
-        if move <= _M_TOL * max(base, 1e-300):
-            converged = True
+        theta, converged = theta_new, _settled(theta_new, theta, _M_TOL)
+        if converged:
             break
     return MEstimate(delta=theta[1:], intercept=float(theta[0]), c=float(c),
                      scale=float(scale), iterations=iterations,
@@ -323,15 +329,7 @@ def select_tuning(scores: np.ndarray, y: np.ndarray) -> float:
     skipped.  Ties go to the later candidate, which on an increasing grid
     is the largest cutoff.
     """
-    Z = np.atleast_2d(np.asarray(scores, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    n, h = Z.shape
-    if y.size != n:
-        raise ValueError(f"scores has {n} rows but y has {y.size}")
-    if n < h + 2:
-        raise ValueError(f"need at least h + 2 = {h + 2} observations, got {n}")
-    design = np.column_stack([np.ones(n), Z])
-    theta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    design, y, theta, _ = _least_squares_start(scores, y)
     resid = y - design @ theta
     scale = mad_scale(resid)
     if scale == 0.0:

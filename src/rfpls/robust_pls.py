@@ -11,13 +11,12 @@ Iteration stops when the response loadings stabilize.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BreakdownError, DegenerateScaleError
-from .robust import _median, _row_norms, hampel_weight, l1_median, mad_scale
+from .robust import _median, _row_norms, _settled, hampel_weight, l1_median, mad_scale
 from .simpls import _weighted_simpls, weighted_simpls_fit
 
 _WEIGHT_FLOOR = 1e-6
@@ -49,9 +48,18 @@ class RobustPLSFit:
     rank_exhausted: bool
 
 
-def _limit_weights(values: np.ndarray) -> np.ndarray:
-    """Weights when a scale collapses to 0: keep exactly-central points only."""
-    return (values == 0.0).astype(float)
+def _hampel_factor(values: np.ndarray, scale: float) -> np.ndarray:
+    """Hampel weight of ``values / scale``; when the scale collapses to 0,
+    the limit weights: 1 on exactly-central values, 0 elsewhere."""
+    if scale == 0.0:
+        return (values == 0.0).astype(float)
+    return hampel_weight(values / scale)
+
+
+def _median_distances(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Row distances from the spatial median of ``points``, and their median."""
+    dist = _row_norms(points - l1_median(points))
+    return dist, _median(dist)
 
 
 def initial_weights(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -76,9 +84,7 @@ def initial_weights(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DegenerateScaleError("response MAD is zero; residual weights undefined")
     w_resid = hampel_weight(np.abs(y - _median(y)) / scale_y)
 
-    center = l1_median(X)
-    dist = _row_norms(X - center)
-    scale_d = _median(dist)
+    dist, scale_d = _median_distances(X)
     if scale_d == 0.0:
         raise DegenerateScaleError("leverage distances have zero median; "
                                    "leverage weights undefined")
@@ -131,7 +137,6 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int,
     gamma_prev: np.ndarray | None = None
     fit = None
     converged = False
-    iterations = 0
     for iterations in range(1, _PRM_MAX_ITER + 1):
         # Pass 1 checks X, y and the start weights; later weights lie in
         # [1e-6, 1] by construction, so later passes skip the checks.
@@ -140,29 +145,15 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int,
         else:
             fit = _weighted_simpls(X, y, weights, h)
         resid = y - (fit.gamma0 + fit.scores @ fit.gamma)
-        scale_r = mad_scale(resid)
-        if scale_r == 0.0:
-            w_resid = _limit_weights(resid)
-        else:
-            w_resid = hampel_weight(np.abs(resid) / scale_r)
-        center = l1_median(fit.scores)
-        dist = _row_norms(fit.scores - center)
-        scale_d = _median(dist)
-        if scale_d == 0.0:
-            w_lev = _limit_weights(dist)
-        else:
-            w_lev = hampel_weight(dist / scale_d)
-        raw = w_resid * w_lev
+        w_resid = _hampel_factor(np.abs(resid), mad_scale(resid))
+        raw = w_resid * _hampel_factor(*_median_distances(fit.scores))
         if (raw > 0).sum() < 2:
             raise BreakdownError("fewer than 2 observations kept positive weight")
         weights = np.clip(raw, _WEIGHT_FLOOR, 1.0)
-        if gamma_prev is not None and gamma_prev.size == fit.gamma.size:
-            delta = fit.gamma - gamma_prev
-            base = math.sqrt(gamma_prev.dot(gamma_prev))
-            move = math.sqrt(delta.dot(delta))
-            if move <= _PRM_TOL * max(base, 1e-300):
-                converged = True
-                break
+        if (gamma_prev is not None and gamma_prev.size == fit.gamma.size
+                and _settled(fit.gamma, gamma_prev, _PRM_TOL)):
+            converged = True
+            break
         gamma_prev = fit.gamma
     return RobustPLSFit(W_r=fit.W, scores_r=fit.scores, gamma0=fit.gamma0,
                         gamma_r=fit.gamma, x_center=fit.x_center,

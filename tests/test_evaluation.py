@@ -237,6 +237,16 @@ class TestSelectNumComponents:
             select_num_components(design, y, max_components=2, folds=4,
                                   method="rfpls", seed=0)
 
+    @pytest.mark.parametrize("method", ["fpls", "rfpls"])
+    def test_cells_without_components_are_skipped(self, method):
+        """Curves scaled by 2^-332 leave no component in any fold: every
+        cell is skipped as a breakdown, so no component count is chosen."""
+        data = generate_clean(60, 3)
+        systems = [build_bspline_system((0.0, 1.0), 8) for _ in data.curves]
+        design = build_design([2.0 ** -332 * c for c in data.curves], data.grids, systems)
+        with pytest.raises(NumericalError, match="every fold for every"):
+            select_num_components(design, data.y, 3, method=method)
+
     def test_validation(self):
         design, rng = _spline_design(25, n=12, num_basis=5)
         y = rng.normal(size=12)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from rfpls.basis import _block_slices, build_bspline_system, build_design, evaluate_basis
-from rfpls.errors import RfplsError
+from rfpls.errors import NumericalError, RfplsError
 from rfpls.evaluation import risee
 from rfpls.regression import (_FITTERS, FittedSofr, coefficient_functions, fit_fpc,
                               fit_fpls, fit_rfpls, predict, predict_from_design)
@@ -199,6 +199,20 @@ def test_non_finite_response_rejected(fitter, bad):
     y[4] = bad
     with pytest.raises(ValueError, match="finite"):
         fitter(design, y, 2)
+
+
+@pytest.mark.parametrize("fitter", [fit_fpls, fit_rfpls])
+def test_fit_without_components_raises(fitter, monkeypatch):
+    """A fit that extracts no component raises instead of returning an
+    intercept-only model with ``h = 0``; rfpls raises before it tunes a
+    cutoff on the empty scores.  Curves scaled by 2^-332 make SIMPLS's
+    squared norms underflow, so no component can be extracted."""
+    data = generate_clean(60, 3)
+    systems = [build_bspline_system((0.0, 1.0), 8) for _ in data.curves]
+    design = build_design([2.0 ** -332 * c for c in data.curves], data.grids, systems)
+    monkeypatch.setattr("rfpls.regression.select_tuning", lambda *a: pytest.fail("tuned"))
+    with pytest.raises(NumericalError, match="^extracted no component of the 2 asked for$"):
+        fitter(design, data.y, 2)
 
 
 @pytest.fixture(scope="module")

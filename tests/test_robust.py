@@ -296,6 +296,48 @@ class TestSelectTuning:
             select_tuning(Z, np.zeros(30))
 
 
+def _bad_start(case):
+    """Scores and a response that the least-squares start refuses, and the
+    message it refuses them with."""
+    rng = np.random.default_rng(9)
+    Z, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+    if case == "row_mismatch":
+        return Z, y[:-1], "scores has 20 rows but y has 19"
+    if case == "too_few_rows":
+        return Z[:3], y[:3], "need at least h + 2 = 4 observations, got 3"
+    if case == "nan_response":
+        y[5] = np.nan
+    else:
+        Z[3, 1] = np.inf
+    return Z, y, "scores and y must be finite"
+
+
+class TestLeastSquaresStart:
+    @pytest.mark.parametrize("case", ["row_mismatch", "too_few_rows", "nan_response",
+                                      "inf_score"])
+    def test_tuning_and_m_step_refuse_alike(self, case, capfd):
+        """Both consumers of the start raise the same ``ValueError`` before
+        any solver runs, so nothing reaches stdout or stderr (an infinite
+        score used to reach LAPACK, which printed to stdout)."""
+        Z, y, message = _bad_start(case)
+        for call in (lambda: select_tuning(Z, y), lambda: m_estimate(Z, y, 4.685)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+        assert capfd.readouterr() == ("", "")
+
+    def test_rank_is_checked_by_the_m_step_only(self):
+        """A duplicated score column still gets a cutoff; the M-step
+        refuses it as a rank-deficient design."""
+        rng = np.random.default_rng(10)
+        z = rng.normal(size=40)
+        Z = np.column_stack([z, z])
+        y = 1.0 + z + rng.normal(size=40)
+        assert select_tuning(Z, y) in robust._TUNING_GRID
+        with pytest.raises(BreakdownError, match="rank deficient"):
+            m_estimate(Z, y, 4.685)
+
+
 def _scalar_efficiency(e, c, step=1e-4):
     """The efficiency factor at one cutoff, from scalar-cutoff kappa calls."""
     kap = tukey_kappa(e, c)

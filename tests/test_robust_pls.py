@@ -23,6 +23,18 @@ def _benign_circle(n=40):
     return X, y
 
 
+def _central_majority(shift):
+    """Twelve of twenty rows at the origin with response 0, the other eight
+    in pairs mirrored through it, their responses mirrored about
+    ``shift / 2``.  Every sum of a unit-weight pass is a sum of small
+    integers, so the pass is exact: the central rows share one residual
+    (exactly 0 when ``shift`` is 0) and score exactly 0."""
+    others = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 1.0], [2.0, 3.0]])
+    y_others = np.array([1.0, 4.0, -3.0, 2.0])
+    X = np.vstack([np.zeros((12, 2)), others, -others])
+    return X, np.concatenate([np.zeros(12), y_others, shift - y_others])
+
+
 class TestInitialWeights:
     def test_benign_data_keeps_everyone(self):
         X, y = _benign_circle()
@@ -172,6 +184,24 @@ class TestPrmFit:
             np.testing.assert_array_equal(fit.weights,
                                           np.clip(w_resid * w_lev, 1e-6, 1.0))
         assert not np.array_equal(fit.weights, initial_weights(X, y))
+
+    def test_zero_scales_keep_exactly_central_rows(self, monkeypatch):
+        """The residual MAD and the median score distance are both exactly
+        0, and the central rows' residuals and distances are exactly 0:
+        they keep weight 1 and the rest are floored at 1e-6.  The loop is
+        capped at that pass: later passes weigh rows unequally, and their
+        sums are no longer exact."""
+        X, y = _central_majority(0.0)
+        monkeypatch.setattr(robust_pls, "_PRM_MAX_ITER", 1)
+        fit = prm_fit(X, y, 1, start_weights=np.ones(20))
+        np.testing.assert_array_equal(fit.weights, np.repeat([1.0, 1e-6], [12, 8]))
+
+    def test_zero_scales_without_exact_residuals_break_down(self):
+        """With the responses unbalanced, the residual MAD is still 0 but no
+        central residual is exactly 0, so no row keeps positive weight."""
+        X, y = _central_majority(2.0)
+        with pytest.raises(BreakdownError, match="fewer than 2 observations"):
+            prm_fit(X, y, 1, start_weights=np.ones(20))
 
     def test_validation(self):
         X = np.random.default_rng(15).normal(size=(10, 3))
