@@ -79,12 +79,15 @@ class FittedSofr:
         return _geometry(self.systems).Psi
 
 
-def _finish(design: MultiFunctionalDesign, method: str, theta: np.ndarray,
-            intercept: float, h: int, report: RobustReport | None = None) -> FittedSofr:
-    """Pull a corrected-space direction back to basis coefficients."""
-    beta = design.Psi_inv_half.T @ theta
-    return FittedSofr(method=method, systems=design.systems, beta_coefs=beta,
-                      intercept=float(intercept), h=h, robust_report=report)
+def _finish(design: MultiFunctionalDesign, method: str, W: np.ndarray, x_center: np.ndarray,
+            offset: float, slopes: np.ndarray, report: RobustReport | None = None) -> FittedSofr:
+    """Pull the fit ``offset + ((A - x_center) @ W) @ slopes`` back to basis
+    coefficients, with the centering absorbed into the intercept."""
+    theta = W @ slopes
+    intercept = offset - float(x_center @ theta)
+    return FittedSofr(method=method, systems=design.systems,
+                      beta_coefs=design.Psi_inv_half.T @ theta, intercept=intercept,
+                      h=W.shape[1], robust_report=report)
 
 
 def fit_fpls(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr:
@@ -98,9 +101,7 @@ def fit_fpls(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr
     pfit = simpls_fit(design.A, y, h)
     if pfit.h == 0:
         raise NumericalError(f"extracted no component of the {h} asked for")
-    theta = pfit.W @ pfit.gamma
-    intercept = pfit.gamma0 - float(pfit.x_center @ theta)
-    return _finish(design, "fpls", theta, intercept, pfit.h)
+    return _finish(design, "fpls", pfit.W, pfit.x_center, pfit.gamma0, pfit.gamma)
 
 
 def fit_rfpls(design: MultiFunctionalDesign, y: np.ndarray, h: int,
@@ -114,18 +115,14 @@ def fit_rfpls(design: MultiFunctionalDesign, y: np.ndarray, h: int,
     """
     y = np.asarray(y, dtype=float).ravel()
     rfit = prm_fit(design.A, y, h, start_weights=start_weights)
-    if rfit.scores_r.shape[1] == 0:
+    if rfit.h == 0:
         raise NumericalError(f"extracted no component of the {h} asked for")
-    cutoff = select_tuning(rfit.scores_r, y)
-    mest = m_estimate(rfit.scores_r, y, cutoff)
-    theta = rfit.W_r @ mest.delta
-    intercept = mest.intercept - float(rfit.x_center @ theta)
-    report = RobustReport(weights=rfit.weights, c=cutoff,
-                          prm_iterations=rfit.iterations,
-                          prm_converged=rfit.converged,
-                          m_iterations=mest.iterations,
+    cutoff = select_tuning(rfit.scores, y)
+    mest = m_estimate(rfit.scores, y, cutoff)
+    report = RobustReport(weights=rfit.weights, c=cutoff, prm_iterations=rfit.iterations,
+                          prm_converged=rfit.converged, m_iterations=mest.iterations,
                           m_converged=mest.converged, scale=mest.scale)
-    return _finish(design, "rfpls", theta, intercept, rfit.scores_r.shape[1], report)
+    return _finish(design, "rfpls", rfit.W, rfit.x_center, mest.intercept, mest.delta, report)
 
 
 def fit_fpc(design: MultiFunctionalDesign, y: np.ndarray,
@@ -162,9 +159,7 @@ def fit_fpc(design: MultiFunctionalDesign, y: np.ndarray,
     scores = Ac @ V
     dm = np.column_stack([np.ones(n), scores])
     coef, *_ = np.linalg.lstsq(dm, y, rcond=None)
-    theta = V @ coef[1:]
-    intercept = float(coef[0]) - float(x_center @ theta)
-    return _finish(design, "fpc", theta, intercept, num_components)
+    return _finish(design, "fpc", V, x_center, float(coef[0]), coef[1:])
 
 
 _FITTERS = {"fpls": fit_fpls, "rfpls": fit_rfpls, "fpc": fit_fpc}

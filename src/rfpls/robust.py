@@ -230,7 +230,6 @@ class MEstimate:
 
     delta: np.ndarray
     intercept: float
-    c: float
     scale: float
     iterations: int
     converged: bool
@@ -243,9 +242,9 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float) -> MEstimate:
     Starts from least squares, then alternates residual-MAD rescaling
     with weighted least squares until the coefficient vector moves by
     less than 1e-8 in relative terms, for at most 100 iterations.  A
-    zero residual MAD means more than half the observations are fitted
-    exactly; the estimate is returned as converged with limit weights
-    (1 on exact residuals, 0 elsewhere).
+    zero residual MAD (more than half the residuals equal) stops it as
+    converged, with weights 1 on exactly-zero residuals and 0 elsewhere.
+    Fewer than ``h + 2`` positive weights raise ``BreakdownError``.
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
@@ -257,14 +256,13 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float) -> MEstimate:
     for iterations in range(1, _M_MAX_ITER + 1):
         resid = y - design @ theta
         scale = mad_scale(resid)
-        if scale == 0.0:
-            weights = (resid == 0.0).astype(float)
-            converged = True
-            break
-        weights = _bisquare(resid / scale, c)
+        weights = (resid == 0.0).astype(float) if scale == 0.0 else _bisquare(resid / scale, c)
         if (weights > 0).sum() < h + 2:
             raise BreakdownError(f"only {int((weights > 0).sum())} observations kept "
                                  f"positive weight; need at least {h + 2}")
+        if scale == 0.0:
+            converged = True
+            break
         sw = np.sqrt(weights)
         theta_new, _, rank, _ = np.linalg.lstsq(sw[:, None] * design, sw * y, rcond=None)
         if rank < h + 1 or not np.isfinite(theta_new).all():
@@ -273,9 +271,8 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float) -> MEstimate:
         theta, converged = theta_new, _settled(theta_new, theta, _M_TOL)
         if converged:
             break
-    return MEstimate(delta=theta[1:], intercept=float(theta[0]), c=float(c),
-                     scale=float(scale), iterations=iterations,
-                     converged=converged, weights=weights)
+    return MEstimate(delta=theta[1:], intercept=float(theta[0]), scale=float(scale),
+                     iterations=iterations, converged=converged, weights=weights)
 
 
 def _efficiency_factors(e: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

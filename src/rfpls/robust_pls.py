@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BreakdownError, DegenerateScaleError
 from .robust import _median, _row_norms, _settled, hampel_weight, l1_median, mad_scale
-from .simpls import _weighted_simpls, weighted_simpls_fit
+from .simpls import PLSFit, _weighted_simpls, weighted_simpls_fit
 
 _WEIGHT_FLOOR = 1e-6
 # Relative change in the response loadings below which reweighting stops,
@@ -27,25 +27,18 @@ _PRM_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
-class RobustPLSFit:
-    """Weighted SIMPLS fit at the final iteration of the reweighting loop.
+class RobustPLSFit(PLSFit):
+    """The weighted SIMPLS fit of the reweighting loop's final pass.
 
-    ``W_r``/``scores_r``/``gamma_r`` play the roles of the classical
-    weight vectors, scores and response loadings.  ``weights`` holds
-    case weights in [1e-6, 1] rebuilt from this fit's own residuals and
-    score distances, so they are one step after the weights that
-    produced ``W_r``.
+    ``weights`` holds case weights in [1e-6, 1] rebuilt from this fit's
+    own residuals and score distances, so they are one step after the
+    weights that produced ``W``.  ``iterations`` counts the passes and
+    ``converged`` says whether the loadings settled before the cap.
     """
 
-    W_r: np.ndarray
-    scores_r: np.ndarray
-    gamma0: float
-    gamma_r: np.ndarray
-    x_center: np.ndarray
     weights: np.ndarray
     iterations: int
     converged: bool
-    rank_exhausted: bool
 
 
 def _hampel_factor(values: np.ndarray, scale: float) -> np.ndarray:
@@ -118,7 +111,7 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int,
     the corrected scores and standardized by their median.  Every pass,
     the last included, ends by rebuilding the weights from the fit it
     made, so the returned ``weights`` are those the next pass would use,
-    not those behind the returned ``W_r``.
+    not those behind the returned ``W``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -155,7 +148,5 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int,
             converged = True
             break
         gamma_prev = fit.gamma
-    return RobustPLSFit(W_r=fit.W, scores_r=fit.scores, gamma0=fit.gamma0,
-                        gamma_r=fit.gamma, x_center=fit.x_center,
-                        weights=weights, iterations=iterations,
-                        converged=converged, rank_exhausted=fit.rank_exhausted)
+    return RobustPLSFit(**vars(fit), weights=weights, iterations=iterations,
+                        converged=converged)

@@ -55,12 +55,12 @@ class PLSFit:
     rank_exhausted: bool
 
 
-def _simpls_core(xc: np.ndarray, yc: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray, bool]:
+def _simpls_core(xc: np.ndarray, yc: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Extract up to ``h`` SIMPLS weight vectors and unit-norm scores.
 
     ``xc`` and ``yc`` must already be centered (and, for the weighted
-    variant, row-scaled).  Returns ``(W, T, exhausted)`` with possibly
-    fewer than ``h`` columns when the cross-covariance is exhausted.
+    variant, row-scaled).  Returns ``(W, T)`` with possibly fewer than
+    ``h`` columns when the cross-covariance is exhausted.
     """
     n, p = xc.shape
     # 1-D norms are ``np.linalg.norm``'s own formula for a contiguous real
@@ -95,10 +95,8 @@ def _simpls_core(xc: np.ndarray, yc: np.ndarray, h: int) -> tuple[np.ndarray, np
         v_basis.append(v)
         s = s - v * (v @ s)
     if not w_cols:
-        return np.zeros((p, 0)), np.zeros((n, 0)), True
-    W = np.column_stack(w_cols)
-    T = np.column_stack(t_cols)
-    return W, T, len(w_cols) < h
+        return np.zeros((p, 0)), np.zeros((n, 0))
+    return np.column_stack(w_cols), np.column_stack(t_cols)
 
 
 def weighted_simpls_fit(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
@@ -160,9 +158,7 @@ def _weighted_simpls(X: np.ndarray, y: np.ndarray, w: np.ndarray, h: int) -> PLS
     xc = sq[:, None] * (X - x_center)
     yc = sq * (y - y_center)
 
-    h_cap = min(h, n - 1, p)
-    W, T, exhausted = _simpls_core(xc, yc, h_cap)
-    exhausted = exhausted or h_cap < h
+    W, T = _simpls_core(xc, yc, min(h, n - 1, p))
     gamma = T.T @ yc
 
     pos = w > 0
@@ -173,7 +169,7 @@ def _weighted_simpls(X: np.ndarray, y: np.ndarray, w: np.ndarray, h: int) -> PLS
         scores[pos] = T[pos] / sq[pos, None]
         scores[~pos] = (X[~pos] - x_center) @ W
     return PLSFit(W=W, scores=scores, gamma0=y_center, gamma=gamma,
-                  x_center=x_center, h=T.shape[1], rank_exhausted=exhausted)
+                  x_center=x_center, h=T.shape[1], rank_exhausted=T.shape[1] < h)
 
 
 def simpls_fit(X: np.ndarray, y: np.ndarray, h: int) -> PLSFit:

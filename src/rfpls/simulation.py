@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -208,6 +209,19 @@ class ExperimentConfig:
             raise ConfigError(f"cv_folds must be at least 2, got {self.cv_folds}")
         if not (0.0 <= self.trim_alpha < 1.0):
             raise ConfigError(f"trim_alpha must be in [0, 1), got {self.trim_alpha}")
+        if self.cv_folds > self.n_train:
+            raise ConfigError(f"cv_folds = {self.cv_folds} exceeds n_train = {self.n_train}")
+        if self.num_basis > GRID_POINTS:
+            raise ConfigError(f"num_basis = {self.num_basis} exceeds the {GRID_POINTS} grid points")
+        try:
+            build_bspline_system((0.0, 1.0), self.num_basis)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        for rows, least, what in ((self.n_test, 2, "test set (trimmed R^2 needs 2)"),
+                                  (self.n_train // self.cv_folds, 1, "smallest CV test part")):
+            if rows - math.ceil(self.trim_alpha * rows) < least:
+                raise ConfigError(f"trim_alpha = {self.trim_alpha} keeps under {least} of the "
+                                  f"{rows} rows of the {what}")
 
 
 class ResultRow(NamedTuple):

@@ -100,9 +100,9 @@ def test_criterion_2_reduction_suite(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr("rfpls.robust_pls.hampel_weight", lambda v: np.ones_like(v))
         robust = prm_fit(X, y, 3)
-    exact_b = (np.array_equal(robust.W_r, classical.W)
-               and np.array_equal(robust.scores_r, classical.scores)
-               and np.array_equal(robust.gamma_r, classical.gamma)
+    exact_b = (np.array_equal(robust.W, classical.W)
+               and np.array_equal(robust.scores, classical.scores)
+               and np.array_equal(robust.gamma, classical.gamma)
                and robust.gamma0 == classical.gamma0)
 
     weighted = weighted_simpls_fit(X, y, np.ones(40), 3)

@@ -455,6 +455,17 @@ class TestExitCodes:
                            "--out", str(tmp_path / "r.csv"), "--workers", "0"],
                           4, "config", "workers must be at least 1, got 0")
 
+    def test_config_that_cannot_run_is_a_config_error(self, tmp_path, capsys):
+        """Five folds of 8 training rows leave CV test parts of one row,
+        which trimming empties: refused before any data is generated."""
+        config = tmp_path / "small.ini"
+        config.write_text("[experiment]\nreplications = 2\nn_train = 8\n")
+        self._assert_fail(capsys,
+                          ["simulate", "--config", str(config),
+                           "--out", str(tmp_path / "r.csv")],
+                          4, "config", "smallest CV test part")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_argparse_failures_use_exit_two(self, capsys):
         assert main(["unknown-command"]) == 2
         capsys.readouterr()

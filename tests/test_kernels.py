@@ -324,10 +324,7 @@ def test_prm_fit_matches_frozen_loop(seed, h):
     fit, weights, iterations = _frozen_prm_fit(X, data.y, h)
     assert got.iterations == iterations
     assert _bits(got.weights) == _bits(weights)
-    for mine, theirs in [(got.W_r, fit.W), (got.scores_r, fit.scores),
-                         (got.gamma_r, fit.gamma), (got.gamma0, fit.gamma0),
-                         (got.x_center, fit.x_center)]:
-        assert _bits(mine) == _bits(theirs)
+    _assert_same_pls(got, fit)
 
 
 def _frozen_bisquare_weight(e, c):

@@ -180,6 +180,16 @@ class TestMEstimate:
         np.testing.assert_array_equal(est.delta, [0.0])
         np.testing.assert_array_equal(est.weights, np.ones(25))
 
+    def test_zero_scale_without_exact_residuals_breaks_down(self):
+        """Twelve rows share the least-squares residual 4.8, so the residual
+        MAD is 0 although no residual is 0: no row keeps positive weight,
+        and the fit breaks down rather than return least squares as converged."""
+        z = np.array([0.0] * 12 + [1, -1, 2, -2, 1.5, -1.5, 0.5, -0.5])
+        y = np.array([2.0] * 12 + [-9, -11, -10, -10, -8, -12, -10, -10])
+        with pytest.raises(BreakdownError, match="only 0 observations kept positive "
+                                                 "weight; need at least 3"):
+            m_estimate(z[:, None], y, 4.685)
+
     def test_outliers_rejected(self):
         """Gross response outliers end with zero weight and little intercept pull."""
         rng = np.random.default_rng(3)

@@ -78,9 +78,9 @@ class TestPrmFit:
         classical = simpls_fit(X, y, 3)
         monkeypatch.setattr(robust_pls, "hampel_weight", _unit)
         robust = prm_fit(X, y, 3)
-        np.testing.assert_array_equal(robust.W_r, classical.W)
-        np.testing.assert_array_equal(robust.scores_r, classical.scores)
-        np.testing.assert_array_equal(robust.gamma_r, classical.gamma)
+        np.testing.assert_array_equal(robust.W, classical.W)
+        np.testing.assert_array_equal(robust.scores, classical.scores)
+        np.testing.assert_array_equal(robust.gamma, classical.gamma)
         assert robust.gamma0 == classical.gamma0
         np.testing.assert_array_equal(robust.x_center, classical.x_center)
         np.testing.assert_array_equal(robust.weights, np.ones(30))
@@ -94,8 +94,8 @@ class TestPrmFit:
         robust = prm_fit(X, y, 1)
         assert robust.converged
         np.testing.assert_array_equal(robust.weights, np.ones(len(y)))
-        np.testing.assert_array_equal(robust.gamma_r, classical.gamma)
-        np.testing.assert_array_equal(robust.W_r, classical.W)
+        np.testing.assert_array_equal(robust.gamma, classical.gamma)
+        np.testing.assert_array_equal(robust.W, classical.W)
 
     def test_contaminated_rows_identified(self):
         """Planted gross outliers end with small final weights."""
@@ -126,9 +126,9 @@ class TestPrmFit:
         monkeypatch.setattr(robust_pls, "hampel_weight", _unit)
         clean = prm_fit(X, y, 2)
         contaminated = prm_fit(Xc, yc, 2)
-        theta_clean = clean.W_r @ clean.gamma_r
-        err_robust = np.linalg.norm(robust.W_r @ robust.gamma_r - theta_clean)
-        err_plain = np.linalg.norm(contaminated.W_r @ contaminated.gamma_r
+        theta_clean = clean.W @ clean.gamma
+        err_robust = np.linalg.norm(robust.W @ robust.gamma - theta_clean)
+        err_plain = np.linalg.norm(contaminated.W @ contaminated.gamma
                                    - theta_clean)
         assert err_robust < 0.5 * err_plain
 
@@ -161,25 +161,25 @@ class TestPrmFit:
         for h in (1, 2, 3):
             want = prm_fit(X, y, h)
             got = prm_fit(X, y, h, start_weights=start)
-            np.testing.assert_array_equal(got.W_r, want.W_r)
+            np.testing.assert_array_equal(got.W, want.W)
             np.testing.assert_array_equal(got.weights, want.weights)
             assert got.iterations == want.iterations
         with pytest.raises(ValueError, match="start_weights"):
             prm_fit(X, y, 2, start_weights=start[:-1])
 
     def test_weights_are_rebuilt_from_the_returned_fit(self, monkeypatch):
-        """The returned weights follow from ``scores_r``, ``gamma0`` and
-        ``gamma_r`` bit for bit; after a single pass they differ from the
-        start weights that produced ``W_r``."""
+        """The returned weights follow from ``scores``, ``gamma0`` and
+        ``gamma`` bit for bit; after a single pass they differ from the
+        start weights that produced ``W``."""
         rng = np.random.default_rng(17)
         X = rng.normal(size=(60, 5))
         y = X @ rng.normal(size=5) + rng.standard_t(2, size=60)
         for h, max_iter in ((1, 100), (2, 100), (3, 100), (2, 1)):
             monkeypatch.setattr(robust_pls, "_PRM_MAX_ITER", max_iter)
             fit = prm_fit(X, y, h)
-            resid = y - (fit.gamma0 + fit.scores_r @ fit.gamma_r)
+            resid = y - (fit.gamma0 + fit.scores @ fit.gamma)
             w_resid = hampel_weight(np.abs(resid) / mad_scale(resid))
-            dist = np.linalg.norm(fit.scores_r - l1_median(fit.scores_r), axis=1)
+            dist = np.linalg.norm(fit.scores - l1_median(fit.scores), axis=1)
             w_lev = hampel_weight(dist / float(np.median(dist)))
             np.testing.assert_array_equal(fit.weights,
                                           np.clip(w_resid * w_lev, 1e-6, 1.0))

@@ -185,6 +185,11 @@ class TestExperimentConfig:
         {"cv_folds": 1},
         {"trim_alpha": 1.0},
         {"workers": 0},
+        {"n_train": 3},
+        {"n_test": 1},
+        {"n_train": 8},
+        {"num_basis": 300},
+        {"num_basis": 2},
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigError):
