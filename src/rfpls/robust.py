@@ -147,7 +147,11 @@ def l1_median(points: np.ndarray) -> np.ndarray:
     Coincident points are handled by the standard correction: when the
     iterate sits on a data point, the pull of the remaining points is
     balanced against that point's multiplicity, so the iteration cannot
-    stall at a non-optimal vertex.  Stopping at the iteration cap issues a ``RuntimeWarning``.
+    stall at a non-optimal vertex.  Stopping at the iteration cap issues a
+    ``SpatialMedianCapWarning``, a ``RuntimeWarning``.  Clouds of 2 to 7
+    columns, such as the robust loop's scores, pass on a coordinate-major
+    copy, which adds in numpy's order for row-major points; numpy sums a
+    wider row norm, or a single column, pairwise, in another order.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
@@ -159,17 +163,30 @@ def l1_median(points: np.ndarray) -> np.ndarray:
     if spread == 0.0:
         return center
     eps = 1e-12 * spread
-    # The C-ordered copy that ``pts[free]`` makes when every point is free,
-    # so the weighted sum adds its rows in the same order.
+    # ``cols`` has one contiguous row per coordinate.  Its row sum and its
+    # accumulated sums add in sequence, as numpy adds a row norm of up to 7
+    # terms and a sum over rows; ``+ 0.0`` gives the +0.0 that numpy's sum
+    # starts from.  ``rows`` is the C-ordered copy that ``pts[free]`` makes
+    # when every point is free, so its weighted sum adds in that order too.
+    cols = np.ascontiguousarray(pts.T) if 2 <= pts.shape[1] <= 7 else None
     rows = np.ascontiguousarray(pts)
     m = center
     for _ in range(_L1_MAX_ITER):
-        diff = pts - m
-        dist = _row_norms(diff)
-        if dist.min() >= eps:  # no point coincides with the iterate
-            inv = 1.0 / dist
-            m_new = (rows * inv[:, None]).sum(axis=0) / inv.sum()
+        if cols is None:
+            dist = _row_norms(pts - m)
         else:
+            d = cols - m[:, None]
+            d *= d
+            dist = np.sqrt(np.add.reduce(d, axis=0))
+        if dist.min() >= eps:  # no point coincides with the iterate
+            inv = np.divide(1.0, dist, out=dist)
+            if cols is None:
+                m_new = (rows * inv[:, None]).sum(axis=0) / inv.sum()
+            else:
+                np.multiply(cols, inv, out=d)
+                m_new = (np.add.accumulate(d, axis=1, out=d)[:, -1] + 0.0) / np.add.reduce(inv)
+        else:
+            diff = pts - m
             on_point = dist < eps
             free = ~on_point
             if not free.any():

@@ -306,7 +306,10 @@ def _one_blas_thread() -> None:
     """Pool initializer: run every loaded OpenBLAS on one thread.
 
     Each worker already runs one replication per core, so BLAS threads
-    of their own would only contend with the other workers.
+    of their own would only contend with the other workers.  In a forked
+    worker, setting the count restarts the helpers that the fork handler
+    stopped, each spinning for about 0.1 s of CPU before it sleeps; shut
+    down again, they stay down, as single-threaded calls never start them.
     """
     for lib in _openblas_libraries():
         for symbol in _SET_THREADS:
@@ -315,6 +318,10 @@ def _one_blas_thread() -> None:
                 set_threads.argtypes = [ctypes.c_int]
                 set_threads.restype = None
                 set_threads(1)
+                if hasattr(lib, "blas_thread_shutdown_"):
+                    lib.blas_thread_shutdown_.argtypes = []
+                    lib.blas_thread_shutdown_.restype = ctypes.c_int
+                    lib.blas_thread_shutdown_()
                 break
 
 

@@ -148,8 +148,10 @@ def _frozen_l1_median(points):
 @st.composite
 def _point_clouds(draw):
     """Points drawn from a few distinct rows, so that duplicates, majority
-    points and iterates landing on a data point all occur."""
-    base = draw(_matrices(max_rows=8, max_cols=5))
+    points and iterates landing on a data point all occur.  Up to 9
+    columns, so that clouds on both sides of the 7/8-column switch of
+    ``l1_median``'s pass are drawn."""
+    base = draw(_matrices(max_rows=8, max_cols=9))
     picks = draw(st.lists(st.integers(0, base.shape[0] - 1), min_size=1, max_size=25))
     pts = base[picks]
     if draw(st.booleans()):
@@ -160,6 +162,8 @@ def _point_clouds(draw):
 class TestL1Median:
     @settings(max_examples=300, deadline=None)
     @given(_point_clouds())
+    # A column of -0.0 that the free-point pass sums: numpy's sum gives +0.0.
+    @example(np.array([[0.0, -0.0, 0.0], [1.0, -0.0, 0.0], [0.0, -0.0, 1.0], [2.0, -0.0, 3.0]]))
     def test_matches_frozen_weiszfeld(self, pts):
         assert _bits(l1_median(pts)) == _bits(_frozen_l1_median(pts))
 
@@ -172,7 +176,8 @@ class TestL1Median:
     @pytest.mark.parametrize("seed", range(4))
     def test_score_sized_clouds(self, seed):
         """Clouds the size of the robust loop's scores, with a planted
-        majority point that the iterate reaches."""
+        majority point that the iterate reaches, and clouds of 6 to 8
+        columns on both sides of the pass's layout switch."""
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((160, 1 + seed))
         pts[:90] = pts[0]
@@ -181,6 +186,10 @@ class TestL1Median:
         assert _bits(l1_median(pts)) == _bits(_frozen_l1_median(pts))
         pts = np.asfortranarray(rng.standard_normal((160, 5)))
         assert _bits(l1_median(pts)) == _bits(_frozen_l1_median(pts))
+        for k in (6, 7, 8):
+            pts = rng.standard_normal((160, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+            for order in (np.ascontiguousarray, np.asfortranarray):
+                assert _bits(l1_median(order(pts))) == _bits(_frozen_l1_median(order(pts)))
 
     def test_cap_warns_and_returns_the_last_iterate(self, monkeypatch):
         pts = np.random.default_rng(5).standard_normal((160, 3))

@@ -3,11 +3,14 @@
 import csv
 import ctypes
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from rfpls import simulation
@@ -219,6 +222,11 @@ def _blas_thread_counts() -> dict:
     return counts
 
 
+def _worker_threads() -> tuple[dict, int]:
+    """OpenBLAS thread counts and operating-system threads of the calling process."""
+    return _blas_thread_counts(), len(os.listdir("/proc/self/task"))
+
+
 class TestRunExperiment:
     def test_row_layout(self):
         """Six metric rows per replication, level, and method."""
@@ -246,22 +254,41 @@ class TestRunExperiment:
         assert serial.rows == pooled.rows
         assert serial.failures == pooled.failures
 
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.2]), min_size=1, max_size=2,
+                    unique=True),
+           st.integers(30, 60), st.integers(1, 2))
+    def test_worker_count_identity_on_drawn_configs(self, seed, levels, n_train, h):
+        """The row stream is the same for one worker and for two, on any
+        tiny configuration."""
+        config = ExperimentConfig(methods=("fpls", "rfpls"), contamination_levels=tuple(levels),
+                                  replications=2, n_train=n_train, n_test=30, num_basis=8,
+                                  max_components=h, cv_folds=3, seed=seed)
+        serial = run_experiment(config)
+        pooled = run_experiment(ExperimentConfig(**{**vars(config), "workers": 2}))
+        assert serial.rows == pooled.rows
+        assert serial.failures == pooled.failures
+
     def test_pool_workers_use_one_blas_thread(self, monkeypatch):
         """A worker of the experiment's pool runs every OpenBLAS on one
-        thread, and the parent process keeps its own thread counts."""
+        thread and holds no OpenBLAS helper thread, and the parent process
+        keeps its own thread counts."""
         before = _blas_thread_counts()
         if not before:
             pytest.skip("no OpenBLAS library is loaded")
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc to count the worker's threads")
         in_worker = []
 
         class ProbedPool(ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                in_worker.append(self.submit(_blas_thread_counts).result(timeout=120))
+                in_worker.append(self.submit(_worker_threads).result(timeout=120))
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", ProbedPool)
         run_experiment(ExperimentConfig(**{**_SMALL, "workers": 2}))
-        assert in_worker == [dict.fromkeys(before, 1)]
+        assert in_worker == [(dict.fromkeys(before, 1), 1)]
         assert _blas_thread_counts() == before
 
     def test_csv_round_trip_and_determinism(self, tmp_path):
