@@ -18,6 +18,7 @@ multi-process run is byte-identical to a serial one.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import math
@@ -89,9 +90,17 @@ def coefficient_integrals(leverage: bool = False) -> np.ndarray:
     return _simpson(harm[:, None, :] * betas[None, :, :], _FINE_GRID)
 
 
-def _signal(kappa: np.ndarray, leverage: bool) -> np.ndarray:
-    """Noise-free responses for score arrays of shape (n, M, J_harmonics)."""
-    return np.einsum("imj,jm->i", kappa, coefficient_integrals(leverage=leverage))
+def _draw(rng: np.random.Generator, count: int, grids: tuple[np.ndarray, ...], leverage: bool,
+          noise_std: float) -> tuple[np.ndarray, ...]:
+    """Scores, responses and one curve block per grid of ``count`` new observations.
+
+    Scores are drawn before noise; ``leverage`` selects the amplified harmonics.
+    """
+    kappa = rng.normal(size=(count, NUM_PREDICTORS, NUM_HARMONICS)) * _score_stds()
+    eps = rng.normal(0.0, noise_std, size=count)
+    y = np.einsum("imj,jm->i", kappa, coefficient_integrals(leverage=leverage)) + eps
+    return (kappa, y, *(kappa[:, m, :] @ harmonic_functions(grid, leverage=leverage)
+                        for m, grid in enumerate(grids)))
 
 
 @dataclass(frozen=True)
@@ -128,15 +137,10 @@ def generate_clean(n: int, seed: int) -> SimDataset:
     """Draw ``n`` clean observations of the three-predictor model."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    kappa = rng.normal(size=(n, NUM_PREDICTORS, NUM_HARMONICS)) * _score_stds()
-    eps = rng.standard_normal(n)
-    basis_rows = harmonic_functions(grid)
-    curves = tuple(kappa[:, m, :] @ basis_rows for m in range(NUM_PREDICTORS))
-    y = _signal(kappa, leverage=False) + eps
-    return SimDataset(grids=tuple(grid.copy() for _ in range(NUM_PREDICTORS)),
-                      curves=curves, y=y,
+    grids = tuple(grid.copy() for _ in range(NUM_PREDICTORS))
+    kappa, y, *curves = _draw(np.random.default_rng(seed), n, grids, False, 1.0)
+    return SimDataset(grids=grids, curves=tuple(curves), y=y,
                       beta_true=true_coefficient_functions(grid),
                       contamination_mask=np.zeros(n, dtype=bool),
                       level=0.0, seed=seed, kappa=kappa)
@@ -153,24 +157,14 @@ def contaminate(dataset: SimDataset, level: float, seed: int) -> SimDataset:
         raise ValueError(f"level must be in (0, 0.5), got {level}")
     if dataset.contamination_mask.any():
         raise ValueError("dataset is already contaminated")
-    n = dataset.n
-    count = int(round(level * n))
     rng = np.random.default_rng(seed)
-    idx = rng.choice(n, size=count, replace=False)
-    kappa_new = rng.normal(size=(count, NUM_PREDICTORS, NUM_HARMONICS)) * _score_stds()
-    eps = rng.normal(0.0, CONTAMINATION_NOISE_STD, size=count)
-
-    mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
-    kappa = dataset.kappa.copy()
-    kappa[idx] = kappa_new
-    curves = []
-    for m in range(NUM_PREDICTORS):
-        block = dataset.curves[m].copy()
-        block[idx] = kappa_new[:, m, :] @ harmonic_functions(dataset.grids[m], leverage=True)
-        curves.append(block)
-    y = dataset.y.copy()
-    y[idx] = _signal(kappa_new, leverage=True) + eps
+    idx = rng.choice(dataset.n, size=int(round(level * dataset.n)), replace=False)
+    # Copy every per-row field (the mask is all False) and write the drawn rows into it.
+    mask, kappa, y, *curves = (a.copy() for a in (dataset.contamination_mask, dataset.kappa,
+                                                   dataset.y, *dataset.curves))
+    drawn = _draw(rng, idx.size, dataset.grids, True, CONTAMINATION_NOISE_STD)
+    for block, new in zip((mask, kappa, y, *curves), (True, *drawn)):
+        block[idx] = new
     return replace(dataset, curves=tuple(curves), y=y, contamination_mask=mask,
                    level=level, seed=seed, kappa=kappa)
 
@@ -201,6 +195,10 @@ class ExperimentConfig:
                 raise ConfigError(f"contamination levels must lie in [0, 0.5), got {lv}")
         if not self.contamination_levels:
             raise ConfigError("contamination_levels must be nonempty")
+        for name in ("methods", "contamination_levels"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {list(values)}")
         for name in ("replications", "n_train", "n_test", "num_basis",
                      "max_components", "cv_folds", "workers"):
             if getattr(self, name) < 1:
@@ -373,17 +371,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for every pool size.
     """
     result = ExperimentResult(config=config)
-    reps = range(config.replications)
-    if config.workers == 1:
-        outputs = (_run_replication(config, rep) for rep in reps)
-        for rows, failures in outputs:
+    with contextlib.ExitStack() as stack:
+        map_ = map
+        if config.workers > 1:
+            map_ = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers,
+                                                           initializer=_one_blas_thread)).map
+        for rows, failures in map_(_run_replication, itertools.repeat(config),
+                                   range(config.replications)):
             result.rows.extend(rows)
             result.failures.extend(failures)
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers,
-                                 initializer=_one_blas_thread) as pool:
-            for rows, failures in pool.map(_run_replication,
-                                           itertools.repeat(config), reps):
-                result.rows.extend(rows)
-                result.failures.extend(failures)
     return result

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rfpls
-from rfpls import cli, robust, robust_pls
+from rfpls import cli, robust, robust_pls, simulation
 from rfpls.basis import build_bspline_system, evaluate_basis
 from rfpls.cli import load_experiment_config, main
 from rfpls.errors import ConfigError
@@ -464,6 +464,25 @@ class TestExitCodes:
                           ["simulate", "--config", str(config),
                            "--out", str(tmp_path / "r.csv")],
                           4, "config", "smallest CV test part")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("lines, name", [
+        ("methods = fpls, fpls\ncontamination_levels = 0.0", "methods"),
+        ("contamination_levels = 0.1, 0.10", "contamination_levels"),
+    ])
+    def test_repeated_method_or_level_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                        lines, name):
+        """A method or level named twice would run its cells twice and count
+        them twice in the summary: refused before any data is generated."""
+        monkeypatch.setattr(simulation, "generate_clean",
+                            lambda *args: pytest.fail("data was generated"))
+        config = tmp_path / "twice.ini"
+        config.write_text("[experiment]\nreplications = 1\nn_train = 60\nn_test = 40\n"
+                          f"num_basis = 8\nmax_components = 2\n{lines}\n")
+        self._assert_fail(capsys,
+                          ["simulate", "--config", str(config),
+                           "--out", str(tmp_path / "r.csv")],
+                          4, "config", f"{name} must not repeat a value")
         assert not (tmp_path / "r.csv").exists()
 
     def test_argparse_failures_use_exit_two(self, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfpls import robust_pls
 from rfpls.errors import BreakdownError, DegenerateScaleError
@@ -70,20 +72,26 @@ class TestInitialWeights:
 
 
 class TestPrmFit:
-    def test_unit_weight_hook_is_classical_bitwise(self, monkeypatch):
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(8, 80), st.integers(1, 24), st.integers(1, 3),
+           st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+    @example(30, 6, 3, 10, 1.0)
+    def test_unit_weight_hook_is_classical_bitwise(self, n, p, h, seed, scale):
         """Forcing unit weights reproduces plain SIMPLS exactly."""
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(30, 6))
-        y = X @ rng.normal(size=6) + rng.normal(size=30)
-        classical = simpls_fit(X, y, 3)
-        monkeypatch.setattr(robust_pls, "hampel_weight", _unit)
-        robust = prm_fit(X, y, 3)
+        rng = np.random.default_rng(seed)
+        X = scale * rng.normal(size=(n, p))
+        y = X @ rng.normal(size=p) + rng.normal(size=n)
+        classical = simpls_fit(X, y, h)
+        # A context, not the fixture: hypothesis runs the body once per draw.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(robust_pls, "hampel_weight", _unit)
+            robust = prm_fit(X, y, h)
         np.testing.assert_array_equal(robust.W, classical.W)
         np.testing.assert_array_equal(robust.scores, classical.scores)
         np.testing.assert_array_equal(robust.gamma, classical.gamma)
         assert robust.gamma0 == classical.gamma0
         np.testing.assert_array_equal(robust.x_center, classical.x_center)
-        np.testing.assert_array_equal(robust.weights, np.ones(30))
+        np.testing.assert_array_equal(robust.weights, np.ones(n))
         assert robust.converged
         assert robust.iterations == 2
 

@@ -2,6 +2,7 @@
 
 import csv
 import ctypes
+import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -15,10 +16,11 @@ from scipy.integrate import simpson
 
 from rfpls import simulation
 from rfpls.errors import ConfigError
-from rfpls.simulation import (CONTAMINATION_NOISE_STD, ExperimentConfig,
-                              ExperimentResult, ResultRow, coefficient_integrals,
-                              contaminate, generate_clean, harmonic_functions,
-                              run_experiment, true_coefficient_functions)
+from rfpls.simulation import (CONTAMINATION_NOISE_STD, GRID_POINTS, NUM_HARMONICS,
+                              NUM_PREDICTORS, ExperimentConfig, ExperimentResult,
+                              ResultRow, SimDataset, coefficient_integrals, contaminate,
+                              generate_clean, harmonic_functions, run_experiment,
+                              true_coefficient_functions)
 from rfpls.simulation import _score_stds
 
 
@@ -172,6 +174,75 @@ class TestContaminate:
             contaminate(ds, 0.5, 1)
 
 
+# Frozen copies of the generator and the contamination step as they were
+# written before both drew their rows through one routine.  They are the
+# reference for the bytes of every simulated sample; a recorded digest
+# would not do, as the last bits of np.sin and np.cos may differ between CPUs.
+def _frozen_generate_clean(n, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
+    kappa = rng.normal(size=(n, NUM_PREDICTORS, NUM_HARMONICS)) * _score_stds()
+    eps = rng.standard_normal(n)
+    basis_rows = harmonic_functions(grid)
+    curves = tuple(kappa[:, m, :] @ basis_rows for m in range(NUM_PREDICTORS))
+    y = np.einsum("imj,jm->i", kappa, coefficient_integrals(leverage=False)) + eps
+    return SimDataset(grids=tuple(grid.copy() for _ in range(NUM_PREDICTORS)),
+                      curves=curves, y=y,
+                      beta_true=true_coefficient_functions(grid),
+                      contamination_mask=np.zeros(n, dtype=bool),
+                      level=0.0, seed=seed, kappa=kappa)
+
+
+def _frozen_contaminate(dataset, level, seed):
+    n = dataset.n
+    count = int(round(level * n))
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(n, size=count, replace=False)
+    kappa_new = rng.normal(size=(count, NUM_PREDICTORS, NUM_HARMONICS)) * _score_stds()
+    eps = rng.normal(0.0, CONTAMINATION_NOISE_STD, size=count)
+
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    kappa = dataset.kappa.copy()
+    kappa[idx] = kappa_new
+    curves = []
+    for m in range(NUM_PREDICTORS):
+        block = dataset.curves[m].copy()
+        block[idx] = kappa_new[:, m, :] @ harmonic_functions(dataset.grids[m], leverage=True)
+        curves.append(block)
+    y = dataset.y.copy()
+    y[idx] = np.einsum("imj,jm->i", kappa_new, coefficient_integrals(leverage=True)) + eps
+    return dataclasses.replace(dataset, curves=tuple(curves), y=y, contamination_mask=mask,
+                               level=level, seed=seed, kappa=kappa)
+
+
+def _assert_same_dataset(got, want):
+    """Every field equal: arrays by dtype, shape and bytes, the rest by ``==``."""
+    for f in dataclasses.fields(SimDataset):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        pairs = [(a, b)]
+        if isinstance(b, tuple):
+            assert isinstance(a, tuple) and len(a) == len(b), f.name
+            pairs = list(zip(a, b))
+        for x, w in pairs:
+            if isinstance(w, np.ndarray):
+                assert isinstance(x, np.ndarray), f.name
+                assert (x.dtype, x.shape, x.tobytes()) == (w.dtype, w.shape, w.tobytes()), f.name
+            else:
+                assert type(x) is type(w) and x == w, f.name
+
+
+class TestFrozenGenerator:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 60), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_samples_match_frozen_generator_bitwise(self, n, level, seed, cont_seed):
+        clean = generate_clean(n, seed)
+        _assert_same_dataset(clean, _frozen_generate_clean(n, seed))
+        _assert_same_dataset(contaminate(clean, level, cont_seed),
+                             _frozen_contaminate(clean, level, cont_seed))
+
+
 class TestExperimentConfig:
     def test_defaults_are_valid(self):
         cfg = ExperimentConfig()
@@ -193,6 +264,9 @@ class TestExperimentConfig:
         {"n_train": 8},
         {"num_basis": 300},
         {"num_basis": 2},
+        {"methods": ("fpls", "rfpls", "fpls")},
+        {"contamination_levels": (0.0, 0.1, 0.10)},
+        {"contamination_levels": (0.0, -0.0)},
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigError):
