@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import MultiFunctionalDesign
 from .errors import NumericalError
-from .regression import _FITTERS, _RankError, predict_from_design
+from .regression import _FITTERS, predict_from_design
 from .robust_pls import initial_weights
 
 
@@ -118,9 +118,9 @@ def select_num_components(design: MultiFunctionalDesign, y: np.ndarray,
     ``folds`` nearly equal parts.  For each candidate ``h`` the pooled
     score sums kept squared errors across folds and divides by the kept
     count; the smallest score wins, ties going to the smaller ``h``.
-    Folds whose training part cannot support ``h`` components (too few
-    rows, or for ``'fpc'`` too low a rank), or where the fit breaks down,
-    are skipped and recorded.  For ``'rfpls'`` the PRM start weights
+    Cells whose training part has too few rows for ``h`` components, or
+    whose fit breaks down, are skipped and recorded; a fit short of ``h``
+    directions is scored as it is.  For ``'rfpls'`` the PRM start weights
     depend on the fold only, so each fold computes them once, at its
     first fitted cell, and shares them across ``h``.
     """
@@ -160,7 +160,7 @@ def select_num_components(design: MultiFunctionalDesign, y: np.ndarray,
                     fit = fitter(sub, y_train, h, start_weights=start)
                 else:
                     fit = fitter(sub, y_train, h)
-            except (NumericalError, _RankError):
+            except NumericalError:
                 skipped.append((h, fold))
                 continue
             pred = predict_from_design(fit, design.D[test_idx])

@@ -25,10 +25,6 @@ from .robust_pls import prm_fit
 from .simpls import simpls_fit
 
 
-class _RankError(ValueError):
-    """More components were requested than the design has directions."""
-
-
 @dataclass(frozen=True)
 class RobustReport:
     """Diagnostics from the robust path: weights, cutoff, loop counters."""
@@ -97,7 +93,6 @@ def fit_fpls(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr
     ``h`` may be smaller than requested when the design runs out of
     directions, and raises ``NumericalError`` when it has none.
     """
-    y = np.asarray(y, dtype=float).ravel()
     pfit = simpls_fit(design.A, y, h)
     if pfit.h == 0:
         raise NumericalError(f"extracted no component of the {h} asked for")
@@ -113,7 +108,6 @@ def fit_rfpls(design: MultiFunctionalDesign, y: np.ndarray, h: int,
     is tuned on the score residuals.  ``start_weights`` are passed to
     ``prm_fit``.  Raises ``NumericalError`` when no component is extracted.
     """
-    y = np.asarray(y, dtype=float).ravel()
     rfit = prm_fit(design.A, y, h, start_weights=start_weights)
     if rfit.h == 0:
         raise NumericalError(f"extracted no component of the {h} asked for")
@@ -125,17 +119,17 @@ def fit_rfpls(design: MultiFunctionalDesign, y: np.ndarray, h: int,
     return _finish(design, "rfpls", rfit.W, rfit.x_center, mest.intercept, mest.delta, report)
 
 
-def fit_fpc(design: MultiFunctionalDesign, y: np.ndarray,
-            num_components: int) -> FittedSofr:
+def fit_fpc(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr:
     """Principal-component baseline: least squares on leading eigenscores.
 
     Eigenvectors of the sample covariance of the centered corrected
     design define the component directions (signs fixed so each
-    vector's largest-magnitude entry is positive).
+    vector's largest-magnitude entry is positive).  Like ``fit_fpls``, it
+    keeps ``min(h, rank)`` of them and raises ``NumericalError`` at rank 0.
     """
     y = np.asarray(y, dtype=float).ravel()
-    if num_components < 1:
-        raise ValueError(f"num_components must be at least 1, got {num_components}")
+    if h < 1:
+        raise ValueError(f"h must be at least 1, got {h}")
     A = design.A
     n = A.shape[0]
     if y.size != n:
@@ -150,10 +144,9 @@ def fit_fpc(design: MultiFunctionalDesign, y: np.ndarray,
     evals, evecs = np.linalg.eigh(cov)
     evals, evecs = evals[::-1], evecs[:, ::-1]
     rank = int((evals > max(float(evals[0]), 0.0) * 1e-10).sum())
-    if num_components > rank:
-        raise _RankError(f"num_components = {num_components} exceeds the available "
-                         f"rank {rank}")
-    V = evecs[:, :num_components].copy()
+    if rank == 0:
+        raise NumericalError(f"extracted no component of the {h} asked for")
+    V = evecs[:, :min(h, rank)].copy()
     flip = V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])] < 0
     V[:, flip] *= -1.0
     scores = Ac @ V

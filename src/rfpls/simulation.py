@@ -286,14 +286,20 @@ def _run_replication(config: ExperimentConfig,
 
 
 def _openblas_libraries() -> list[ctypes.CDLL]:
-    """Every OpenBLAS shared library mapped into this process; none if unreadable."""
+    """Every OpenBLAS shared library mapped into this process that loads; none
+    if the maps file is unreadable.  A path is all of a maps line after its 5th
+    field, spaces included; a replaced file reads ``<path> (deleted)`` and won't load."""
     try:
         with _open_input("/proc/self/maps") as handle:
-            paths = sorted({line.split()[-1] for line in handle
+            paths = sorted({line.rstrip("\n").split(maxsplit=5)[-1] for line in handle
                             if "openblas" in line.lower() and "/" in line})
     except InputError:
         return []
-    return [ctypes.CDLL(path) for path in paths]
+    libraries = []
+    for path in paths:
+        with contextlib.suppress(OSError):
+            libraries.append(ctypes.CDLL(path))
+    return libraries
 
 
 _SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",

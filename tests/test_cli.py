@@ -162,7 +162,7 @@ class TestFitPredictRoundTrip:
                              r"in (\d+) calls?", lines[0])
         assert count and 1 <= int(count[1]) <= len(calls)
 
-    @pytest.mark.parametrize("method", ["fpls", "rfpls"])
+    @pytest.mark.parametrize("method", ["fpls", "rfpls", "fpc"])
     def test_component_shortfall_warns(self, tmp_path, capsys, method):
         """Two predictors in 4 B-splines support 8 components, not the 20
         asked for: the fit says so on stderr and still writes its model."""
@@ -177,7 +177,7 @@ class TestFitPredictRoundTrip:
             "rfpls: warning: extracted 8 of the 20 components asked for"]
         assert load_model(model).h == 8
 
-    @pytest.mark.parametrize("method", ["fpls", "rfpls"])
+    @pytest.mark.parametrize("method", ["fpls", "rfpls", "fpc"])
     def test_component_shortfall_model_predicts(self, tmp_path, capsys, method):
         """The model written after a shortfall is one ``predict`` accepts."""
         curves, response, ids = _make_tables(tmp_path)
@@ -419,15 +419,16 @@ class TestExitCodes:
                           3, "numerical", "extracted no component of the 2 asked for")
         assert model.read_bytes() == b"an earlier model\n"
 
-    def test_fpc_components_past_the_rank_is_input_error(self, tmp_path, capsys):
-        """Two predictors in 8 B-splines give at most 16 principal
-        components; asking for 17 is a bad flag, not a numerical failure."""
-        curves, response, _ = _make_tables(tmp_path)
+    def test_fpc_fit_without_components_writes_no_model(self, tmp_path, capsys):
+        """Curves that are all zero give principal components no direction:
+        the fpc fit fails as fpls does without a component, with exit 3 and
+        no model written."""
+        curves, response, _ = _make_tables(tmp_path, scale=0.0)
         self._assert_fail(capsys,
                           ["fit", "--method", "fpc", "--curves", curves,
                            "--response", response, "--num-basis", "8",
                            "--components", "17", "--out", str(tmp_path / "m.json")],
-                          2, "input", "rank")
+                          3, "numerical", "extracted no component of the 17 asked for")
         assert not (tmp_path / "m.json").exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):

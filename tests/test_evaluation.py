@@ -113,13 +113,14 @@ def _spline_design(seed, n, num_basis, rank=None):
 
 
 class TestSelectNumComponents:
-    def test_recovers_planted_rank(self):
+    @pytest.mark.parametrize("method", ["fpls", "fpc"])
+    def test_recovers_planted_rank(self, method):
         """Noiseless responses from a rank-3 design: every h >= 3 fits
         identically after exhaustion, and ties resolve downward to 3."""
         design, rng = _spline_design(20, n=40, num_basis=8, rank=3)
         y = design.A @ rng.normal(size=design.total_basis)
         report = select_num_components(design, y, max_components=6, folds=5,
-                                       alpha=0.1, method="fpls", seed=3)
+                                       alpha=0.1, method=method, seed=3)
         assert report.chosen_h == 3
         assert report.scores[2] < 1e-16
         np.testing.assert_array_equal(report.scores[3:], report.scores[2])
@@ -162,19 +163,19 @@ class TestSelectNumComponents:
         assert set(report.skipped) == {(h, f) for h in (5, 6) for f in range(4)}
         assert report.chosen_h <= 4
 
-    def test_fpc_cells_past_the_design_rank_are_skipped(self):
+    def test_fpc_cells_past_the_design_rank_are_scored(self):
         """Three predictors in 4 B-splines each give a rank-12 design; fpc
-        cells asking for more components are skipped like cells the
-        other methods cannot fit, and CV carries on."""
+        cells asking for more components fit the 12 there are, as fpls
+        cells do, so they score as h = 12 and none is skipped."""
         data = generate_clean(60, 3)
         systems = [build_bspline_system((0.0, 1.0), 4) for _ in data.curves]
         design = build_design(data.curves, data.grids, systems)
         report = select_num_components(design, data.y, max_components=15,
                                        method="fpc", seed=0)
-        assert np.isfinite(report.scores[:12]).all()
-        assert np.isinf(report.scores[12:]).all()
-        assert set(report.skipped) == {(h, f) for h in (13, 14, 15) for f in range(5)}
-        assert report.chosen_h <= 12
+        assert report.skipped == ()
+        assert np.isfinite(report.scores).all()
+        np.testing.assert_array_equal(report.scores[12:], report.scores[11])
+        assert report.chosen_h == 12
 
     def test_rfpls_shares_start_weights_within_a_fold(self, monkeypatch):
         """PRM start weights are computed once per fold, and the report

@@ -144,12 +144,21 @@ class TestPrincipalComponentBaseline:
         np.testing.assert_allclose(predict_from_design(fit, design.D),
                                    dm @ coef, atol=1e-8)
 
-    def test_component_count_beyond_rank_rejected(self):
-        design, y, *_ = _span_model(8, n=8)
-        with pytest.raises(ValueError, match="rank"):
-            fit_fpc(design, y, 9)
-        with pytest.raises(ValueError):
+    def test_components_past_the_rank_are_dropped(self):
+        """Eight centered rows span 7 directions: asked for 9 components, fpc
+        keeps 7, as fpls does, and equals the fit asked for 7.  A design with
+        no direction at all raises with fpls's message."""
+        design, y, _, _, grids, curves = _span_model(8, n=8)
+        fit = fit_fpc(design, y, 9)
+        assert fit.h == fit_fpls(design, y, 9).h == 7
+        exact = fit_fpc(design, y, 7)
+        np.testing.assert_array_equal(fit.beta_coefs, exact.beta_coefs)
+        assert fit.intercept == exact.intercept
+        with pytest.raises(ValueError, match="h must be at least 1"):
             fit_fpc(design, y, 0)
+        flat = build_design([np.zeros_like(c) for c in curves], grids, design.systems)
+        with pytest.raises(NumericalError, match="^extracted no component of the 9 asked for$"):
+            fit_fpc(flat, y, 9)
 
     def test_exact_model_recovered_at_full_rank(self):
         design, y, b, *_ = _span_model(9)
@@ -167,12 +176,34 @@ class TestPredictionPaths:
                                    predict_from_design(fit, design.D),
                                    atol=1e-8)
 
-    def test_intercept_tracks_response_shift(self):
+    @pytest.mark.parametrize("method", ["fpls", "rfpls", "fpc"])
+    def test_intercept_tracks_response_shift(self, method):
+        """A shift y + 5 moves only the intercept, by 5, and a scaling 3 y
+        scales the coefficients and the intercept by 3; a robust fit keeps
+        its cutoff under both and its weights under the scaling."""
         design, y, *_ = _span_model(11)
-        f0 = fit_fpls(design, y, 4)
-        f5 = fit_fpls(design, y + 5.0, 4)
-        assert abs((f5.intercept - f0.intercept) - 5.0) < 1e-8
-        np.testing.assert_allclose(f5.beta_coefs, f0.beta_coefs, atol=1e-8)
+        fitter = _FITTERS[method]
+        base, shifted, scaled = (fitter(design, v, 4) for v in (y, y + 5.0, 3.0 * y))
+        norm, size = np.linalg.norm(base.beta_coefs), max(1.0, abs(base.intercept))
+        # fpls and fpc solve least squares without a loop, so a shift moves
+        # their coefficients by roundoff only (1e-14 here).  rfpls's M-step
+        # stops once its coefficients move by less than 1e-8 relative, and
+        # the shifted response stops it at another point of that ball
+        # (5.3e-9 here, up to 1.4e-8 measured): 1e-6 relative.
+        shift_rtol = 1e-6 if method == "rfpls" else 1e-10
+        assert np.linalg.norm(shifted.beta_coefs - base.beta_coefs) <= shift_rtol * norm
+        assert abs(shifted.intercept - base.intercept - 5.0) <= shift_rtol * size
+        # Every step divides a response scale back out, so a scaling that is
+        # not a power of two moves the fit by roundoff only (8.0e-15 here for
+        # rfpls), also through the M-step: 1e-10 relative.
+        scale_rtol = 1e-10
+        assert np.linalg.norm(scaled.beta_coefs - 3.0 * base.beta_coefs) <= scale_rtol * 3.0 * norm
+        assert abs(scaled.intercept - 3.0 * base.intercept) <= scale_rtol * 3.0 * size
+        if method == "rfpls":
+            rep = base.robust_report
+            assert shifted.robust_report.c == scaled.robust_report.c == rep.c
+            np.testing.assert_allclose(scaled.robust_report.weights, rep.weights,
+                                       rtol=0.0, atol=scale_rtol)
 
     def test_shape_validation(self):
         design, y, _, _, grids, curves = _span_model(12)

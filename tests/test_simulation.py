@@ -3,6 +3,7 @@
 import csv
 import ctypes
 import dataclasses
+import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -364,6 +365,23 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig(**{**_SMALL, "workers": 2}))
         assert in_worker == [(dict.fromkeys(before, 1), 1)]
         assert _blas_thread_counts() == before
+
+    def test_openblas_paths_with_spaces_or_replaced_files(self, tmp_path, monkeypatch):
+        """A maps path is all of its line after the 5th field, so a library
+        under a directory with a space loads; a file replaced since it was
+        mapped, and a library that will not load, are skipped rather than
+        failing the pool initializer."""
+        loaded = [lib._name for lib in simulation._openblas_libraries()]
+        if not loaded:
+            pytest.skip("no OpenBLAS library is loaded")
+        spaced = tmp_path / "My Env" / "libscipy_openblas64_.so"
+        spaced.parent.mkdir()
+        spaced.symlink_to(loaded[0])
+        maps = (f"7f00-7f01 r-xp 00000000 08:01 1234     {spaced}\n"
+                f"7f01-7f02 r--p 00001000 08:01 1235     {loaded[0]} (deleted)\n"
+                f"7f02-7f03 r-xp 00000000 08:01 1236     {tmp_path}/gone/libopenblas.so\n")
+        monkeypatch.setattr(simulation, "_open_input", lambda path: io.StringIO(maps))
+        assert [lib._name for lib in simulation._openblas_libraries()] == [str(spaced)]
 
     def test_csv_round_trip_and_determinism(self, tmp_path):
         res = run_experiment(ExperimentConfig(**_SMALL))
