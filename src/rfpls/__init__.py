@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "basis": ("BasisSystem", "MultiFunctionalDesign", "build_bspline_system", "build_design",
               "evaluate_basis", "gram_matrix", "smooth_curves"),
-    "errors": ("BreakdownError", "ConfigError", "DegenerateScaleError",
-               "EfficiencyUndefinedError", "InputError", "NumericalError", "RfplsError",
+    "errors": ("ConfigError", "InputError", "NumericalError", "RfplsError",
                "SpatialMedianCapWarning"),
     "evaluation": ("CVReport", "risee", "select_num_components", "trimmed_mspe",
                    "trimmed_r2"),

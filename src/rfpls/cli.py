@@ -45,20 +45,20 @@ def _load_tables(curves_arg: str):
     for path, table in zip(paths[1:], tables[1:]):
         if table.sample_ids != ids:
             raise InputError(f"{path}: sample ids differ from {paths[0]}")
-    return paths, tables, ids
+    return tables, ids
 
 
-def _build_cli_design(tables, num_basis: int):
-    systems = [build_bspline_system((float(t.grid[0]), float(t.grid[-1])), num_basis)
-               for t in tables]
-    return build_design([t.values for t in tables], [t.grid for t in tables], systems)
-
-
-def _match_response(ids, response_path: str):
-    resp_ids, y = read_response(response_path)
+def _load_training_set(args):
+    """The curve tables, their sample ids, the response and the design of
+    ``fit`` and ``cv``: curves first, then the response, then the smoothing."""
+    tables, ids = _load_tables(args.curves)
+    resp_ids, y = read_response(args.response)
     if resp_ids != ids:
-        raise InputError(f"{response_path}: sample ids differ from the curve tables")
-    return y
+        raise InputError(f"{args.response}: sample ids differ from the curve tables")
+    systems = [build_bspline_system((float(t.grid[0]), float(t.grid[-1])), args.num_basis)
+               for t in tables]
+    design = build_design([t.values for t in tables], [t.grid for t in tables], systems)
+    return tables, ids, y, design
 
 
 @contextmanager
@@ -94,9 +94,7 @@ def _print_cv_table(report) -> None:
 
 @_median_caps_counted()
 def cmd_fit(args) -> int:
-    _, tables, ids = _load_tables(args.curves)
-    y = _match_response(ids, args.response)
-    design = _build_cli_design(tables, args.num_basis)
+    tables, ids, y, design = _load_training_set(args)
     report = None
     if args.components is not None:
         if args.components < 1:
@@ -139,7 +137,7 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     fit = load_model(args.model)
-    paths, tables, ids = _load_tables(args.curves)
+    tables, ids = _load_tables(args.curves)
     if len(tables) != len(fit.systems):
         raise InputError(f"model expects {len(fit.systems)} curve files, "
                          f"got {len(tables)}")
@@ -151,9 +149,7 @@ def cmd_predict(args) -> int:
 
 @_median_caps_counted()
 def cmd_cv(args) -> int:
-    _, tables, ids = _load_tables(args.curves)
-    y = _match_response(ids, args.response)
-    design = _build_cli_design(tables, args.num_basis)
+    _, _, y, design = _load_training_set(args)
     report = select_num_components(design, y, args.max_components,
                                    folds=args.folds, alpha=args.trim_alpha,
                                    method=args.method, seed=args.seed)

@@ -14,19 +14,7 @@ class ConfigError(RfplsError):
 
 
 class NumericalError(RfplsError):
-    """Base class for numerical breakdowns during estimation."""
-
-
-class DegenerateScaleError(NumericalError):
-    """A residual or distance scale estimate is zero where a division is required."""
-
-
-class BreakdownError(NumericalError):
-    """A weighted fit retains too few effective observations to continue."""
-
-
-class EfficiencyUndefinedError(NumericalError):
-    """The efficiency factor is undefined because every residual was rejected."""
+    """Estimation broke down on the data: a zero scale, too few weighted cases, no component."""
 
 
 class SpatialMedianCapWarning(RuntimeWarning):

@@ -86,13 +86,27 @@ def _finish(design: MultiFunctionalDesign, method: str, W: np.ndarray, x_center:
                       h=W.shape[1], robust_report=report)
 
 
+def _refuse_no_variation(design: MultiFunctionalDesign, h: int) -> None:
+    """Refuse, as extracting no component, a design whose rows all equal the first."""
+    A = design.A
+    if h >= 1 and A.shape[0] > 1:  # else the fitter's own argument checks answer
+        # Identical curves reach ``A`` a few ulps apart, about 1e-15 of a row's
+        # size, as BLAS computes a product's trailing rows apart.
+        tol = 1e-12 * np.abs(A[0]).max()
+        # The last row alone settles almost every design with variation.
+        if np.abs(A[-1] - A[0]).max() <= tol and (np.abs(A - A[0]) <= tol).all():
+            raise NumericalError(f"extracted no component of the {h} asked for")
+
+
 def fit_fpls(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr:
     """Functional partial least squares with ``h`` components.
 
     Runs SIMPLS of ``y`` on the corrected design ``A``; the returned
     ``h`` may be smaller than requested when the design runs out of
-    directions, and raises ``NumericalError`` when it has none.
+    directions, and raises ``NumericalError`` when it has none or its
+    rows are all equal up to roundoff.
     """
+    _refuse_no_variation(design, h)
     pfit = simpls_fit(design.A, y, h)
     if pfit.h == 0:
         raise NumericalError(f"extracted no component of the {h} asked for")
@@ -106,8 +120,10 @@ def fit_rfpls(design: MultiFunctionalDesign, y: np.ndarray, h: int,
     Reweighted SIMPLS extracts outlier-resistant scores; the response is
     then M-regressed on those scores with a bisquare whose cutoff ``c``
     is tuned on the score residuals.  ``start_weights`` are passed to
-    ``prm_fit``.  Raises ``NumericalError`` when no component is extracted.
+    ``prm_fit``.  Raises ``NumericalError`` when no component is extracted
+    or the rows of ``A`` are all equal up to roundoff.
     """
+    _refuse_no_variation(design, h)
     rfit = prm_fit(design.A, y, h, start_weights=start_weights)
     if rfit.h == 0:
         raise NumericalError(f"extracted no component of the {h} asked for")
@@ -125,8 +141,10 @@ def fit_fpc(design: MultiFunctionalDesign, y: np.ndarray, h: int) -> FittedSofr:
     Eigenvectors of the sample covariance of the centered corrected
     design define the component directions (signs fixed so each
     vector's largest-magnitude entry is positive).  Like ``fit_fpls``, it
-    keeps ``min(h, rank)`` of them and raises ``NumericalError`` at rank 0.
+    keeps ``min(h, rank)`` of them and raises ``NumericalError`` at rank 0
+    or on rows all equal up to roundoff.
     """
+    _refuse_no_variation(design, h)
     y = np.asarray(y, dtype=float).ravel()
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")

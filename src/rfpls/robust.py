@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BreakdownError, DegenerateScaleError, EfficiencyUndefinedError,
-                     SpatialMedianCapWarning)
+from .errors import NumericalError, SpatialMedianCapWarning
 
 
 # Cutoffs c1 < c2 < c3 of the three-part Hampel function: roughly the 0.95,
@@ -129,6 +128,14 @@ def hampel_weight(x):
     d = np.minimum(np.maximum(ax, c2), c3)
     out = np.where(ax > c2, c1 * (c3 - d) / ((c3 - c2) * d), c1 / np.fmax(ax, c1))
     return _maybe_scalar(out, scalar)
+
+
+def _scaled_weight(weight, u: np.ndarray, scale: float, *args) -> np.ndarray:
+    """``weight(u / scale, *args)``, or at a zero scale its limit: 1 on exactly-zero
+    ``u``, 0 elsewhere.  The rule of PRM's residual and leverage factors and the M-step."""
+    if scale == 0.0:
+        return (u == 0.0).astype(float)
+    return weight(u / scale, *args)
 
 
 def mad_scale(e: np.ndarray) -> float:
@@ -261,21 +268,21 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float) -> MEstimate:
     less than 1e-8 in relative terms, for at most 100 iterations.  A
     zero residual MAD (more than half the residuals equal) stops it as
     converged, with weights 1 on exactly-zero residuals and 0 elsewhere.
-    Fewer than ``h + 2`` positive weights raise ``BreakdownError``.
+    Fewer than ``h + 2`` positive weights raise ``NumericalError``.
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
     design, y, theta, rank = _least_squares_start(scores, y)
     h = design.shape[1] - 1
     if rank < h + 1:
-        raise BreakdownError(f"score design is rank deficient ({rank} < {h + 1})")
+        raise NumericalError(f"score design is rank deficient ({rank} < {h + 1})")
 
     for iterations in range(1, _M_MAX_ITER + 1):
         resid = y - design @ theta
         scale = mad_scale(resid)
-        weights = (resid == 0.0).astype(float) if scale == 0.0 else _bisquare(resid / scale, c)
+        weights = _scaled_weight(_bisquare, resid, scale, c)
         if (weights > 0).sum() < h + 2:
-            raise BreakdownError(f"only {int((weights > 0).sum())} observations kept "
+            raise NumericalError(f"only {int((weights > 0).sum())} observations kept "
                                  f"positive weight; need at least {h + 2}")
         if scale == 0.0:
             converged = True
@@ -283,7 +290,7 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float) -> MEstimate:
         sw = np.sqrt(weights)
         theta_new, _, rank, _ = np.linalg.lstsq(sw[:, None] * design, sw * y, rcond=None)
         if rank < h + 1 or not np.isfinite(theta_new).all():
-            raise BreakdownError("weighted score design collapsed to rank "
+            raise NumericalError("weighted score design collapsed to rank "
                                  f"{rank} < {h + 1}")
         theta, converged = theta_new, _settled(theta_new, theta, _M_TOL)
         if converged:
@@ -329,8 +336,7 @@ def efficiency_factor(e: np.ndarray, c: float) -> float:
         raise ValueError(f"c must be positive, got {c}")
     tau, defined = _efficiency_factors(arr, np.array([float(c)]))
     if not defined[0]:
-        raise EfficiencyUndefinedError(f"all residuals fall beyond c = {c}; "
-                                       "efficiency factor undefined")
+        raise NumericalError(f"all residuals fall beyond c = {c}; efficiency factor undefined")
     return float(tau[0])
 
 
@@ -347,9 +353,9 @@ def select_tuning(scores: np.ndarray, y: np.ndarray) -> float:
     resid = y - design @ theta
     scale = mad_scale(resid)
     if scale == 0.0:
-        raise DegenerateScaleError("residual MAD is zero; cutoff selection undefined")
+        raise NumericalError("residual MAD is zero; cutoff selection undefined")
     tau, defined = _efficiency_factors(resid / scale, _TUNING_GRID)
     if not defined.any():
-        raise EfficiencyUndefinedError("every candidate cutoff rejects all residuals")
+        raise NumericalError("every candidate cutoff rejects all residuals")
     best = np.flatnonzero(defined & (tau == tau[defined].max()))[-1]
     return float(_TUNING_GRID[best])

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakdownError, DegenerateScaleError
-from .robust import _median, _row_norms, _settled, hampel_weight, l1_median, mad_scale
+from .errors import NumericalError
+from .robust import (_median, _row_norms, _scaled_weight, _settled, hampel_weight, l1_median,
+                     mad_scale)
 from .simpls import PLSFit, _weighted_simpls, weighted_simpls_fit
 
 _WEIGHT_FLOOR = 1e-6
@@ -39,14 +40,6 @@ class RobustPLSFit(PLSFit):
     weights: np.ndarray
     iterations: int
     converged: bool
-
-
-def _hampel_factor(values: np.ndarray, scale: float) -> np.ndarray:
-    """Hampel weight of ``values / scale``; when the scale collapses to 0,
-    the limit weights: 1 on exactly-central values, 0 elsewhere."""
-    if scale == 0.0:
-        return (values == 0.0).astype(float)
-    return hampel_weight(values / scale)
 
 
 def _median_distances(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -74,13 +67,12 @@ def initial_weights(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     scale_y = mad_scale(y)
     if scale_y == 0.0:
-        raise DegenerateScaleError("response MAD is zero; residual weights undefined")
+        raise NumericalError("response MAD is zero; residual weights undefined")
     w_resid = hampel_weight(np.abs(y - _median(y)) / scale_y)
 
     dist, scale_d = _median_distances(X)
     if scale_d == 0.0:
-        raise DegenerateScaleError("leverage distances have zero median; "
-                                   "leverage weights undefined")
+        raise NumericalError("leverage distances have zero median; leverage weights undefined")
     w_lev = hampel_weight(dist / scale_d)
     return np.clip(w_resid * w_lev, _WEIGHT_FLOOR, 1.0)
 
@@ -138,10 +130,10 @@ def prm_fit(X: np.ndarray, y: np.ndarray, h: int,
         else:
             fit = _weighted_simpls(X, y, weights, h)
         resid = y - (fit.gamma0 + fit.scores @ fit.gamma)
-        w_resid = _hampel_factor(np.abs(resid), mad_scale(resid))
-        raw = w_resid * _hampel_factor(*_median_distances(fit.scores))
+        w_resid = _scaled_weight(hampel_weight, np.abs(resid), mad_scale(resid))
+        raw = w_resid * _scaled_weight(hampel_weight, *_median_distances(fit.scores))
         if (raw > 0).sum() < 2:
-            raise BreakdownError("fewer than 2 observations kept positive weight")
+            raise NumericalError("fewer than 2 observations kept positive weight")
         weights = np.clip(raw, _WEIGHT_FLOOR, 1.0)
         if (gamma_prev is not None and gamma_prev.size == fit.gamma.size
                 and _settled(fit.gamma, gamma_prev, _PRM_TOL)):

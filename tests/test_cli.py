@@ -20,9 +20,11 @@ from rfpls.fileio import CurveTable, load_model, read_response, write_curves, wr
 from rfpls.regression import predict
 
 
-def _make_tables(dirpath, n=40, seed=0, predictors=2, y_shift=None, scale=1.0):
+def _make_tables(dirpath, n=40, seed=0, predictors=2, y_shift=None, scale=1.0,
+                 same_curves=False):
     """Write curve and response CSVs for a smooth synthetic sample; the
-    written curves are multiplied by ``scale``."""
+    written curves are multiplied by ``scale``, and with ``same_curves``
+    every sample of a predictor is written as its first sample's curve."""
     rng = np.random.default_rng(seed)
     ids = tuple(f"s{i:02d}" for i in range(n))
     curve_paths = []
@@ -33,6 +35,8 @@ def _make_tables(dirpath, n=40, seed=0, predictors=2, y_shift=None, scale=1.0):
         coefs = rng.normal(size=(n, 8))
         values = coefs @ evaluate_basis(system, grid).T
         signal += coefs @ rng.normal(size=8)
+        if same_curves:
+            values = np.tile(values[0], (n, 1))
         path = dirpath / f"curves{m + 1}.csv"
         write_curves(path, CurveTable(sample_ids=ids, grid=grid, values=values * scale))
         curve_paths.append(str(path))
@@ -404,12 +408,16 @@ class TestExitCodes:
                            "--components", "1", "--out", str(tmp_path / "m.json")],
                           3, "numerical", "")
 
+    @pytest.mark.parametrize("n", [7, 40, 60])
+    @pytest.mark.parametrize("tables", [{"scale": 2.0 ** -332}, {"scale": 0.0},
+                                        {"same_curves": True}], ids=["tiny", "zero", "same"])
     @pytest.mark.parametrize("method", ["fpls", "rfpls"])
-    def test_fit_without_components_writes_no_model(self, tmp_path, capsys, method):
-        """Curves scaled by 2^-332 leave no component to extract.  The fit
-        fails with exit 3 and keeps the file at ``--out``, instead of
-        writing a model that ``predict`` refuses."""
-        curves, response, _ = _make_tables(tmp_path, scale=2.0 ** -332)
+    def test_fit_without_components_writes_no_model(self, tmp_path, capsys, method, tables, n):
+        """Curves scaled by 2^-332 leave no component to extract, and curves
+        that are all zero or all the same have no variation.  The fit fails
+        with exit 3 and keeps the file at ``--out``, instead of writing a
+        model that ``predict`` refuses."""
+        curves, response, _ = _make_tables(tmp_path, n=n, **tables)
         model = tmp_path / "m.json"
         model.write_bytes(b"an earlier model\n")
         self._assert_fail(capsys,
@@ -419,11 +427,14 @@ class TestExitCodes:
                           3, "numerical", "extracted no component of the 2 asked for")
         assert model.read_bytes() == b"an earlier model\n"
 
-    def test_fpc_fit_without_components_writes_no_model(self, tmp_path, capsys):
-        """Curves that are all zero give principal components no direction:
-        the fpc fit fails as fpls does without a component, with exit 3 and
-        no model written."""
-        curves, response, _ = _make_tables(tmp_path, scale=0.0)
+    @pytest.mark.parametrize("n", [7, 40, 60])
+    @pytest.mark.parametrize("tables", [{"scale": 0.0}, {"same_curves": True}],
+                             ids=["zero", "same"])
+    def test_fpc_fit_without_components_writes_no_model(self, tmp_path, capsys, tables, n):
+        """Curves that are all zero or all the same give principal components
+        no direction: the fpc fit fails as fpls does without a component,
+        with exit 3 and no model written."""
+        curves, response, _ = _make_tables(tmp_path, n=n, **tables)
         self._assert_fail(capsys,
                           ["fit", "--method", "fpc", "--curves", curves,
                            "--response", response, "--num-basis", "8",

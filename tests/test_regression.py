@@ -232,15 +232,30 @@ def test_non_finite_response_rejected(fitter, bad):
         fitter(design, y, 2)
 
 
-@pytest.mark.parametrize("fitter", [fit_fpls, fit_rfpls])
-def test_fit_without_components_raises(fitter, monkeypatch):
+# Curves scaled by 2^-332, all zero, or all the first curve of their predictor.
+_NO_COMPONENT_CURVES = {
+    "tiny": lambda c: 2.0 ** -332 * c,
+    "zero": np.zeros_like,
+    "same": lambda c: np.tile(c[0], (c.shape[0], 1)),
+}
+
+
+@pytest.mark.parametrize("n", [7, 40, 60])
+@pytest.mark.parametrize("fitter, curves_of", [
+    (fit_fpls, "tiny"), (fit_rfpls, "tiny"),
+    *[(fitter, kind) for fitter in (fit_fpls, fit_rfpls, fit_fpc) for kind in ("zero", "same")]])
+def test_fit_without_components_raises(fitter, curves_of, n, monkeypatch):
     """A fit that extracts no component raises instead of returning an
     intercept-only model with ``h = 0``; rfpls raises before it tunes a
     cutoff on the empty scores.  Curves scaled by 2^-332 make SIMPLS's
-    squared norms underflow, so no component can be extracted."""
-    data = generate_clean(60, 3)
+    squared norms underflow, so no component can be extracted.  Curves that
+    are all zero or all the same have no variation, which every fitter
+    refuses alike, although at some ``n``, such as 7, identical curves
+    reach the design a few ulps apart."""
+    data = generate_clean(n, 3)
     systems = [build_bspline_system((0.0, 1.0), 8) for _ in data.curves]
-    design = build_design([2.0 ** -332 * c for c in data.curves], data.grids, systems)
+    curves = [_NO_COMPONENT_CURVES[curves_of](c) for c in data.curves]
+    design = build_design(curves, data.grids, systems)
     monkeypatch.setattr("rfpls.regression.select_tuning", lambda *a: pytest.fail("tuned"))
     with pytest.raises(NumericalError, match="^extracted no component of the 2 asked for$"):
         fitter(design, data.y, 2)

@@ -139,10 +139,11 @@ class TestExportTable:
 
     def test_retired_names_are_gone(self):
         """Names that only tests called were removed, not just unexported."""
-        from rfpls import basis, evaluation, simpls
+        from rfpls import basis, errors, evaluation, simpls
         from rfpls.basis import MultiFunctionalDesign
         retired = {basis: ("sqrt_gram", "inv_sqrt_gram"), evaluation: ("iqr_outliers",),
-                   robust: ("bisquare_weight",), simpls: ("pls_predict",)}
+                   robust: ("bisquare_weight",), simpls: ("pls_predict",),
+                   errors: ("BreakdownError", "DegenerateScaleError", "EfficiencyUndefinedError")}
         for module, names in retired.items():
             for name in names:
                 assert name not in rfpls.__all__, name
