@@ -25,10 +25,8 @@ _L1_MAX_ITER = 500
 # IRLS of ``m_estimate``: relative coefficient-move tolerance and cap.
 _M_TOL = 1e-8
 _M_MAX_ITER = 100
-# Candidate bisquare cutoffs of ``select_tuning``, and the half-width of the
-# central difference in the efficiency factor.
+# Candidate bisquare cutoffs of ``select_tuning``.
 _TUNING_GRID = np.linspace(1.0, 10.0, 91)
-_FD_STEP = 1e-4
 
 
 def _as_array(u) -> tuple[np.ndarray, bool]:
@@ -72,7 +70,7 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
 
 def tukey_rho(u, c: float):
     """Bisquare loss: 1 - [1 - (u/c)^2]^3 for |u| <= c, else 1."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     arr, scalar = _as_array(u)
     z = np.clip(np.abs(arr) / c, 0.0, 1.0)
@@ -85,7 +83,7 @@ def tukey_kappa(u, c):
     ``c`` may be an array of cutoffs broadcastable against ``u``.
     """
     cut = np.asarray(c, dtype=float)
-    if (cut <= 0).any():
+    if not (cut > 0).all():
         raise ValueError(f"c must be positive, got {c}")
     arr, scalar = _as_array(u)
     z = arr / cut
@@ -270,7 +268,7 @@ def m_estimate(scores: np.ndarray, y: np.ndarray, c: float) -> MEstimate:
     converged, with weights 1 on exactly-zero residuals and 0 elsewhere.
     Fewer than ``h + 2`` positive weights raise ``NumericalError``.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     design, y, theta, rank = _least_squares_start(scores, y)
     h = design.shape[1] - 1
@@ -307,32 +305,28 @@ def _efficiency_factors(e: np.ndarray, cands: np.ndarray) -> tuple[np.ndarray, n
     """
     cuts = cands[:, None]
     kap = tukey_kappa(e, cuts)
-    # Row-wise dot products through matmul, which sums in the same order
-    # as ``kap[i] @ kap[i]``.
-    denom = e.size * (kap[:, None, :] @ kap[:, :, None])[:, 0, 0]
-    slopes = (tukey_kappa(e + _FD_STEP, cuts) - tukey_kappa(e - _FD_STEP, cuts)) / (2.0 * _FD_STEP)
+    denom = e.size * (kap * kap).sum(axis=1)
+    z = e / cuts
+    slopes = np.where(np.abs(e) <= cuts, (1.0 - z * z) * (1.0 - 5.0 * z * z), 0.0)
     defined = denom != 0.0
     tau = np.full(cands.size, -np.inf)
-    # Square each sum as a scalar: a scalar ``** 2`` goes through C ``pow``,
-    # which can differ in the last bit from the array square, and the
-    # single-cutoff formula squares a scalar.
-    squares = np.array([total ** 2 for total in slopes[defined].sum(axis=1)])
-    tau[defined] = squares / denom[defined]
+    sums = slopes[defined].sum(axis=1)
+    tau[defined] = sums * sums / denom[defined]
     return tau, defined
 
 
 def efficiency_factor(e: np.ndarray, c: float) -> float:
     """Empirical efficiency of the bisquare at cutoff ``c``.
 
-    Computed as ``[sum dkappa/de]^2 / (n sum kappa^2)`` with a central
-    finite difference of half-width 1e-4; residuals ``e`` are
-    expected on the standardized scale.  Raises when every residual
-    falls beyond ``c`` (zero denominator).
+    Computed as ``[sum dkappa/de]^2 / (n sum kappa^2)`` with the exact
+    derivative dkappa/de = [1 - (e/c)^2][1 - 5(e/c)^2] for |e| <= c, else 0;
+    residuals ``e`` are expected on the standardized scale.  Raises when
+    every residual falls beyond ``c`` (zero denominator).
     """
     arr = np.asarray(e, dtype=float).ravel()
     if arr.size < 2:
         raise ValueError(f"need at least 2 residuals, got {arr.size}")
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     tau, defined = _efficiency_factors(arr, np.array([float(c)]))
     if not defined[0]:
@@ -345,7 +339,8 @@ def select_tuning(scores: np.ndarray, y: np.ndarray) -> float:
 
     Residuals come from a least-squares fit of ``y`` on the scores (with
     intercept) and are standardized by their MAD; the candidate cutoffs
-    are 1.0, 1.1, ..., 10.0.  Candidates rejecting every residual are
+    are 1.0, 1.1, ..., 10.0, each scored with the exact bisquare derivative
+    (see ``efficiency_factor``).  Candidates rejecting every residual are
     skipped.  Ties go to the later candidate, which on an increasing grid
     is the largest cutoff.
     """

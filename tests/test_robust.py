@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +83,19 @@ class TestTukey:
         for fn in (tukey_rho, tukey_kappa):
             with pytest.raises(ValueError):
                 fn(1.0, 0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda c: tukey_rho(1.0, c),
+        lambda c: tukey_kappa(1.0, c),
+        lambda c: tukey_kappa(1.0, np.array([2.0, c])),
+        lambda c: efficiency_factor(np.array([0.5, -1.0, 2.0]), c),
+        lambda c: m_estimate(np.arange(6.0)[:, None], np.array([0.0, 1, 3, 2, 5, 4]), c),
+    ], ids=["tukey_rho", "tukey_kappa", "tukey_kappa_array", "efficiency_factor",
+            "m_estimate"])
+    def test_nan_cutoff_is_refused(self, call):
+        """A NaN cutoff is refused like any other non-positive one."""
+        with pytest.raises(ValueError, match="c must be positive, got .*nan"):
+            call(float("nan"))
 
 
 class TestMadScale:
@@ -246,14 +260,21 @@ class TestMEstimate:
 
 
 class TestEfficiencyFactor:
+    def test_closed_form_is_the_kappa_derivative(self):
+        u, c = sympy.symbols("u c", positive=True)
+        kappa = u * (1 - u ** 2 / c ** 2) ** 2
+        closed = (1 - u ** 2 / c ** 2) * (1 - 5 * u ** 2 / c ** 2)
+        assert sympy.simplify(sympy.diff(kappa, u) - closed) == 0
+
     def test_matches_analytic_derivative(self):
-        """Finite differences agree with the closed-form kappa derivative."""
+        """The factor is computed from the closed-form kappa derivative."""
         e = np.linspace(-2.9, 2.9, 25)
         c = 3.0
         z = e / c
-        kd = (1.0 - z ** 2) * (1.0 - 5.0 * z ** 2)
-        want = kd.sum() ** 2 / (e.size * (tukey_kappa(e, c) ** 2).sum())
-        assert efficiency_factor(e, c) == pytest.approx(want, rel=1e-4)
+        kd = (1.0 - z * z) * (1.0 - 5.0 * z * z)
+        kap = tukey_kappa(e, c)
+        total = kd.sum()
+        assert efficiency_factor(e, c) == total * total / (e.size * (kap * kap).sum())
 
     def test_near_one_for_standardized_gaussian(self):
         """With a huge cutoff and unit second moment the factor approaches 1."""
@@ -304,6 +325,25 @@ class TestSelectTuning:
         with pytest.raises(NumericalError, match="residual MAD is zero"):
             select_tuning(Z, np.zeros(30))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(5, 200), st.integers(1, 3), st.sampled_from([1.5, 2.0, 3.0, 5.0]),
+           st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0), st.floats(-1e3, 1e3))
+    def test_cutoff_keeps_under_response_scale_and_shift(self, n, h, df, seed, log_a, b):
+        """The residuals are standardized by their MAD, so a * y + b with
+        a > 0 gets the cutoff of y, or the same refusal."""
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(n, h))
+        y = Z @ rng.normal(size=h) + rng.standard_t(df, size=n)
+        assert _tuning_outcome(Z, 10.0 ** log_a * y + b) == _tuning_outcome(Z, y)
+
+
+def _tuning_outcome(Z, y):
+    """The cutoff ``select_tuning`` picks, or the message it refuses with."""
+    try:
+        return select_tuning(Z, y)
+    except NumericalError as err:
+        return str(err)
+
 
 def _bad_start(case):
     """Scores and a response that the least-squares start refuses, and the
@@ -347,14 +387,17 @@ class TestLeastSquaresStart:
             m_estimate(Z, y, 4.685)
 
 
-def _scalar_efficiency(e, c, step=1e-4):
-    """The efficiency factor at one cutoff, from scalar-cutoff kappa calls."""
+def _scalar_efficiency(e, c):
+    """The efficiency factor at one cutoff, from a scalar-cutoff kappa call
+    and the closed-form kappa derivative."""
     kap = tukey_kappa(e, c)
-    denom = e.size * float(kap @ kap)
+    denom = e.size * (kap * kap).sum()
     if denom == 0.0:
         return None
-    slopes = (tukey_kappa(e + step, c) - tukey_kappa(e - step, c)) / (2.0 * step)
-    return float(slopes.sum() ** 2 / denom)
+    z = e / c
+    slopes = np.where(np.abs(e) <= c, (1.0 - z * z) * (1.0 - 5.0 * z * z), 0.0)
+    total = slopes.sum()
+    return float(total * total / denom)
 
 
 def _standardized_residuals(Z, y):
